@@ -1,9 +1,10 @@
 // Ablation — sparse vs dense PSGD throughput (google-benchmark).
 //
-// The sparse engine (optim/sparse_psgd.h) produces bit-identical models to
-// the dense one, so this is purely a systems ablation: on ~1%-density data
-// the O(nnz) gradient kernel should beat the O(d) dense kernel by roughly
-// the inverse density, while on fully dense data the two are comparable.
+// RunPsgd's sparse-logistic row policy (optim/psgd.h) runs the same loop as
+// the dense one and produces bit-identical models, so this is purely a
+// systems ablation: on ~1%-density data the O(nnz) gradient kernel should
+// beat the O(d) dense kernel by roughly the inverse density, while on fully
+// dense data the two are comparable.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -14,7 +15,6 @@
 #include "optim/loss.h"
 #include "optim/psgd.h"
 #include "optim/schedule.h"
-#include "optim/sparse_psgd.h"
 #include "random/rng.h"
 
 namespace bolton {
@@ -77,8 +77,7 @@ void BM_SparsePsgd(benchmark::State& state) {
   uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed++);
-    auto run =
-        RunSparseLogisticPsgd(it->second, 0.0, *schedule, options, &rng);
+    auto run = RunPsgd(it->second, 0.0, *schedule, options, &rng);
     run.status().CheckOK();
     benchmark::DoNotOptimize(run.value().model);
   }

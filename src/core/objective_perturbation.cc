@@ -12,15 +12,10 @@ namespace bolton {
 
 namespace {
 
-// Numerically stable pieces shared with optim/loss.cc's logistic loss.
+// Numerically stable ln(1 + e^z), as in optim/loss.cc's logistic loss.
 double Log1pExp(double z) {
   if (z > 0.0) return z + std::log1p(std::exp(-z));
   return std::log1p(std::exp(z));
-}
-double Sigmoid(double z) {
-  if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
-  double e = std::exp(z);
-  return e / (1.0 + e);
 }
 
 // Logistic loss + (λ/2)‖w‖² + ⟨b, w⟩/m per example, so the empirical risk

@@ -3,6 +3,7 @@
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "util/logging.h"
+#include "util/thread_name.h"
 
 namespace bolton {
 namespace obs {
@@ -91,7 +92,7 @@ ScopedSpan::~ScopedSpan() {
   record.depth = depth_;
   record.start_ns = start_;
   record.duration_ns = end - start_;
-  record.thread_id = CurrentThreadId();
+  record.thread_id = CurrentThreadSmallId();
   record.thread_name = CurrentThreadName();
   if (has_counters_) {
     record.has_counters = true;
@@ -113,7 +114,7 @@ void PhaseAccumulator::Flush() {
     record.start_ns = MonotonicNanos();
     record.duration_ns = total_ns_;
     record.count = count_;
-    record.thread_id = CurrentThreadId();
+    record.thread_id = CurrentThreadSmallId();
     record.thread_name = CurrentThreadName();
     recorder.Record(std::move(record));
   }

@@ -35,7 +35,7 @@ struct SpanRecord {
   uint64_t count = 1;  // intervals aggregated into this record
   uint64_t thread_id = 0;
   /// Human-readable name of the recording thread ("main", "psgd-shard-3";
-  /// see SetCurrentThreadName in obs/telemetry.h) so JSONL and
+  /// see SetCurrentThreadName in util/thread_name.h) so JSONL and
   /// Chrome-trace output read without a tid lookup table.
   std::string thread_name;
   /// Hardware-counter delta over the span, when a CounterScope was

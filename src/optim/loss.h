@@ -1,6 +1,7 @@
 #ifndef BOLTON_OPTIM_LOSS_H_
 #define BOLTON_OPTIM_LOSS_H_
 
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -53,6 +54,14 @@ class LossFunction {
   /// Mean loss over a dataset: the empirical risk L_S(w).
   double EmpiricalRisk(const Vector& w, const Dataset& dataset) const;
 };
+
+/// Numerically stable logistic sigmoid 1 / (1 + e^{-z}); the logistic
+/// gradient kernels share this one definition so they stay bit-identical.
+inline double Sigmoid(double z) {
+  if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
+  double e = std::exp(z);
+  return e / (1.0 + e);
+}
 
 /// Logistic loss, optionally L2-regularized (paper Eq. 1):
 ///   ℓ(w,(x,y)) = ln(1 + exp(−y⟨w,x⟩)) + (λ/2)‖w‖²,  y ∈ {±1}.

@@ -18,13 +18,10 @@
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/strings.h"
+#include "util/thread_name.h"
 
 namespace bolton {
 
-namespace {
-
-/// Exponential backoff with jitter before retry `attempt` (1-based). The
-/// jitter rng is a timing-only stream: it never feeds shard results.
 void SleepBeforeRetry(const ShardRetryPolicy& retry, size_t attempt,
                       Rng* jitter_rng) {
   if (retry.backoff_base_ms == 0) return;
@@ -36,6 +33,8 @@ void SleepBeforeRetry(const ShardRetryPolicy& retry, size_t attempt,
   }
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
+
+namespace {
 
 /// "retry" audit event: shard `shard` is being re-attempted (step = the
 /// attempt number about to run, 1-based).
@@ -295,10 +294,10 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
     // (no pool involved; run_worker measures from its own start). It still
     // takes the slice name so trace/profile readers find psgd-shard-0
     // whether or not a pool thread ran it.
-    const std::string caller_name = obs::CurrentThreadName();
-    obs::SetCurrentThreadName("psgd-shard-0");
+    const std::string caller_name = CurrentThreadName();
+    SetCurrentThreadName("psgd-shard-0");
     run_worker(0);
-    obs::SetCurrentThreadName(caller_name);
+    SetCurrentThreadName(caller_name);
     worker_stats[0].spawn_ns = 0;
   } else {
     // Static round-robin: shard j runs on slice j % worker_count, so the
@@ -310,7 +309,7 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
       // any profile reader) looks for psgd-shard-N regardless of which
       // pool worker picked the slice up. The pool restores its own thread
       // name after the task.
-      obs::SetCurrentThreadName(StrFormat("psgd-shard-%zu", w));
+      SetCurrentThreadName(StrFormat("psgd-shard-%zu", w));
       run_worker(w);
     });
   }

@@ -1,5 +1,6 @@
 #include "optim/psgd.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -14,16 +15,16 @@ namespace bolton {
 
 namespace {
 
-Status ValidateOptions(const Dataset& data, const PsgdOptions& options) {
-  if (data.empty()) return Status::InvalidArgument("empty training set");
+Status ValidateOptions(size_t m, const PsgdOptions& options) {
+  if (m == 0) return Status::InvalidArgument("empty training set");
   if (options.passes < 1) return Status::InvalidArgument("passes must be >= 1");
   if (options.batch_size < 1) {
     return Status::InvalidArgument("batch_size must be >= 1");
   }
-  if (options.batch_size > data.size()) {
+  if (options.batch_size > m) {
     return Status::InvalidArgument(
         StrFormat("batch_size %zu exceeds training size %zu",
-                  options.batch_size, data.size()));
+                  options.batch_size, m));
   }
   if (options.radius <= 0.0) {
     return Status::InvalidArgument("radius must be > 0 (may be +inf)");
@@ -49,15 +50,93 @@ void FlushStats(const PsgdStats& stats) {
   noise_samples->Increment(stats.noise_samples);
 }
 
-}  // namespace
+/// Row-access policy of the dense black box: a row's gradient goes through
+/// the loss's virtual AddGradient, and the step and the reset each visit
+/// all d coordinates.
+class DenseRows {
+ public:
+  DenseRows(const Dataset& data, const LossFunction& loss)
+      : data_(data), loss_(loss) {}
 
-Result<PsgdOutput> RunPsgd(
-    const Dataset& data, const LossFunction& loss,
-    const StepSizeSchedule& schedule, const PsgdOptions& options, Rng* rng,
-    GradientNoiseSource* noise,
+  size_t size() const { return data_.size(); }
+  size_t dim() const { return data_.dim(); }
+
+  void AddGradient(const Vector& w, size_t row, double scale, Vector* grad) {
+    loss_.AddGradient(w, data_[row], scale, grad);
+  }
+  void Step(double eta, const Vector& grad, Vector* w) { w->Axpy(-eta, grad); }
+  void ResetGradient(Vector* grad) { grad->SetZero(); }
+
+ private:
+  const Dataset& data_;
+  const LossFunction& loss_;
+};
+
+/// Row-access policy for L2-regularized logistic regression over sparse
+/// rows: the dense logistic loss's gradient, computed in O(nnz). When the
+/// batch gradient stays sparse (λ = 0 and no noise source), the step and
+/// the reset visit only the coordinates the batch touched; every other
+/// coordinate would only receive an exact −η·0.
+class SparseLogisticRows {
+ public:
+  SparseLogisticRows(const SparseDataset& data, double lambda,
+                     bool sparse_steps)
+      : data_(data), lambda_(lambda), sparse_steps_(sparse_steps) {}
+
+  size_t size() const { return data_.size(); }
+  size_t dim() const { return data_.dim(); }
+
+  void AddGradient(const Vector& w, size_t row, double scale, Vector* grad) {
+    const SparseExample& e = data_[row];
+    // ∇ℓ = −y·σ(−y⟨w,x⟩)·x (+ λw), exactly as the dense logistic loss.
+    double margin = e.label * Dot(e.x, w);
+    double coeff = -e.label * Sigmoid(-margin);
+    e.x.AxpyInto(scale * coeff, grad);
+    if (sparse_steps_) {
+      for (const auto& entry : e.x.entries()) touched_.push_back(entry.first);
+    }
+    if (lambda_ > 0.0) grad->Axpy(scale * lambda_, w);
+  }
+
+  void Step(double eta, const Vector& grad, Vector* w) {
+    if (!sparse_steps_) {
+      w->Axpy(-eta, grad);
+      return;
+    }
+    // Examples in a batch can share coordinates, so dedupe first: each
+    // coordinate must be stepped exactly once.
+    std::sort(touched_.begin(), touched_.end());
+    touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                   touched_.end());
+    for (size_t index : touched_) (*w)[index] += -eta * grad[index];
+  }
+
+  void ResetGradient(Vector* grad) {
+    if (!sparse_steps_) {
+      grad->SetZero();
+      return;
+    }
+    for (size_t index : touched_) (*grad)[index] = 0.0;
+    touched_.clear();
+  }
+
+ private:
+  const SparseDataset& data_;
+  double lambda_;
+  bool sparse_steps_;
+  std::vector<size_t> touched_;  // grad coordinates the current batch set
+};
+
+/// The one PSGD pass/batch loop, over any row-access policy `Rows` that
+/// accumulates a row's gradient, applies the step, and resets the
+/// gradient (see DenseRows). The gradient is zero on entry to every batch.
+template <typename Rows>
+Result<PsgdOutput> RunPsgdLoop(
+    Rows& rows, const StepSizeSchedule& schedule, const PsgdOptions& options,
+    Rng* rng, GradientNoiseSource* noise,
     const std::function<void(size_t, const Vector&)>& pass_callback,
     const PsgdCheckpointPlan* checkpoint) {
-  BOLTON_RETURN_IF_ERROR(ValidateOptions(data, options));
+  BOLTON_RETURN_IF_ERROR(ValidateOptions(rows.size(), options));
   const PsgdResumeState* resume =
       checkpoint != nullptr ? checkpoint->resume : nullptr;
   if (checkpoint != nullptr &&
@@ -71,8 +150,8 @@ Result<PsgdOutput> RunPsgd(
   obs::ScopedSpan run_span("psgd.run");
   obs::CounterScope run_counters(&run_span);
 
-  const size_t m = data.size();
-  const size_t dim = data.dim();
+  const size_t m = rows.size();
+  const size_t dim = rows.dim();
   const size_t b = options.batch_size;
   const bool project = std::isfinite(options.radius);
 
@@ -147,7 +226,6 @@ Result<PsgdOutput> RunPsgd(
               : b;
       ++step;
 
-      grad.SetZero();
       {
         obs::PhaseTimer timer(&gradient_phase);
         const double scale = 1.0 / static_cast<double>(batch_len);
@@ -158,7 +236,7 @@ Result<PsgdOutput> RunPsgd(
           } else {
             idx = rng->UniformInt(m);
           }
-          loss.AddGradient(w, data[idx], scale, &grad);
+          rows.AddGradient(w, idx, scale, &grad);
           ++stats.gradient_evaluations;
         }
       }
@@ -176,11 +254,12 @@ Result<PsgdOutput> RunPsgd(
             StrFormat("schedule '%s' produced invalid step size %g at t=%zu",
                       schedule.name().c_str(), eta, step));
       }
-      w.Axpy(-eta, grad);
+      rows.Step(eta, grad, &w);
       if (project) {
         obs::PhaseTimer timer(&projection_phase);
         ProjectToL2BallInPlace(&w, options.radius);
       }
+      rows.ResetGradient(&grad);
 
       ++stats.updates;
       if (options.output == OutputMode::kAverageAll) iterate_sum += w;
@@ -222,6 +301,32 @@ Result<PsgdOutput> RunPsgd(
     out.model = std::move(w);
   }
   return out;
+}
+
+}  // namespace
+
+Result<PsgdOutput> RunPsgd(
+    const Dataset& data, const LossFunction& loss,
+    const StepSizeSchedule& schedule, const PsgdOptions& options, Rng* rng,
+    GradientNoiseSource* noise,
+    const std::function<void(size_t, const Vector&)>& pass_callback,
+    const PsgdCheckpointPlan* checkpoint) {
+  DenseRows rows(data, loss);
+  return RunPsgdLoop(rows, schedule, options, rng, noise, pass_callback,
+                     checkpoint);
+}
+
+Result<PsgdOutput> RunPsgd(
+    const SparseDataset& data, double lambda,
+    const StepSizeSchedule& schedule, const PsgdOptions& options, Rng* rng,
+    GradientNoiseSource* noise,
+    const std::function<void(size_t, const Vector&)>& pass_callback,
+    const PsgdCheckpointPlan* checkpoint) {
+  if (lambda < 0.0) return Status::InvalidArgument("lambda must be >= 0");
+  SparseLogisticRows rows(data, lambda,
+                          /*sparse_steps=*/lambda == 0.0 && noise == nullptr);
+  return RunPsgdLoop(rows, schedule, options, rng, noise, pass_callback,
+                     checkpoint);
 }
 
 }  // namespace bolton

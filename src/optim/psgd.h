@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "data/dataset.h"
+#include "data/sparse_dataset.h"
 #include "linalg/vector.h"
 #include "optim/loss.h"
 #include "optim/schedule.h"
@@ -121,6 +122,20 @@ struct PsgdCheckpointPlan {
 /// RunShardedPsgd in optim/parallel_executor.h for shard-parallel runs).
 Result<PsgdOutput> RunPsgd(
     const Dataset& data, const LossFunction& loss,
+    const StepSizeSchedule& schedule, const PsgdOptions& options, Rng* rng,
+    GradientNoiseSource* noise = nullptr,
+    const std::function<void(size_t, const Vector&)>& pass_callback = nullptr,
+    const PsgdCheckpointPlan* checkpoint = nullptr);
+
+/// The same black box for L2-regularized logistic regression over SPARSE
+/// features: one loop with the dense overload, so it is bit-for-bit RunPsgd
+/// on the densified data with MakeLogisticLoss(lambda, options.radius) and
+/// the same seed, and every sensitivity bound and the bolt-on perturbation
+/// apply unchanged. The per-example gradient is O(nnz); with λ = 0 and no
+/// noise source the step is O(nnz) too (λ > 0 or noise touch every
+/// coordinate, so the sparse win is the convex setting of Algorithm 1).
+Result<PsgdOutput> RunPsgd(
+    const SparseDataset& data, double lambda,
     const StepSizeSchedule& schedule, const PsgdOptions& options, Rng* rng,
     GradientNoiseSource* noise = nullptr,
     const std::function<void(size_t, const Vector&)>& pass_callback = nullptr,

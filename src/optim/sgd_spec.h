@@ -9,6 +9,7 @@
 namespace bolton {
 
 class CancellationToken;
+class Rng;
 class ThreadPool;
 
 /// Graceful degradation policy for shard workers.
@@ -36,6 +37,12 @@ struct ShardRetryPolicy {
   /// Each backoff is stretched by a uniform factor in [1, 1 + jitter_frac].
   double jitter_frac = 0.0;
 };
+
+/// Sleeps the exponential backoff, with jitter, that `retry` prescribes
+/// before retry `attempt` (1-based). The jitter rng is a timing-only
+/// stream: it never feeds shard results or budget state.
+void SleepBeforeRetry(const ShardRetryPolicy& retry, size_t attempt,
+                      Rng* jitter_rng);
 
 /// How a sharded run executes — everything about the release is in the
 /// rest of the spec; everything here can only change speed and fault

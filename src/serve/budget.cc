@@ -1,8 +1,6 @@
 #include "serve/budget.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "obs/ledger.h"
@@ -54,18 +52,6 @@ Result<uint64_t> ParseU64Token(const std::string& text) {
         StrFormat("bad unsigned integer '%s'", text.c_str()));
   }
   return static_cast<uint64_t>(parsed.value());
-}
-
-void SleepBeforeRetry(const ShardRetryPolicy& retry, size_t attempt,
-                      Rng* jitter_rng) {
-  if (retry.backoff_base_ms == 0) return;
-  const size_t shift = std::min<size_t>(attempt - 1, 20);
-  double ms = static_cast<double>(retry.backoff_base_ms) *
-              static_cast<double>(uint64_t{1} << shift);
-  if (retry.jitter_frac > 0.0) {
-    ms *= 1.0 + jitter_rng->UniformDouble(0.0, retry.jitter_frac);
-  }
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
 void RecordBudgetEvent(const std::string& kind, const std::string& tenant,

@@ -7,7 +7,7 @@
 namespace bolton {
 
 /// Process-wide thread identity, shared by the logger (util/logging.h) and
-/// the telemetry pillars (obs/telemetry.h forwards here) so a thread is
+/// the telemetry pillars (obs/trace.h, obs/postmortem.h) so a thread is
 /// called "psgd-shard-3" in stderr log lines, JSONL events, trace spans,
 /// and crash postmortems alike — one naming authority instead of one id
 /// counter per subsystem.

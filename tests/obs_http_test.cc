@@ -19,6 +19,7 @@
 #include "util/logging.h"
 #include "util/net.h"
 #include "util/strings.h"
+#include "util/thread_name.h"
 
 namespace bolton {
 namespace obs {

@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "util/thread_name.h"
 
 namespace bolton {
 namespace obs {

@@ -12,8 +12,8 @@
 #include "ml/metrics.h"
 #include "optim/loss.h"
 #include "optim/psgd.h"
-#include "optim/sparse_psgd.h"
 #include "optim/schedule.h"
+#include "util/cancellation.h"
 
 namespace bolton {
 namespace {
@@ -126,8 +126,11 @@ TEST(SparseLoaderTest, RejectsMalformedInput) {
 
 // The headline property: the sparse engine is BIT-FOR-BIT the dense engine
 // on densified data with the same seed, so every sensitivity bound (and
-// the bolt-on wrapper) transfers unchanged.
-TEST(SparsePsgdTest, BitExactWithDenseEngineConvex) {
+// the bolt-on wrapper) transfers unchanged. Each case runs under both
+// sampling modes.
+class SparsePsgdTest : public ::testing::TestWithParam<SamplingMode> {};
+
+TEST_P(SparsePsgdTest, BitExactWithDenseEngineConvex) {
   SyntheticConfig config;
   config.num_examples = 300;
   config.dim = 12;
@@ -142,18 +145,18 @@ TEST(SparsePsgdTest, BitExactWithDenseEngineConvex) {
   PsgdOptions options;
   options.passes = 3;
   options.batch_size = 7;
+  options.sampling = GetParam();
 
   Rng rng_dense(9), rng_sparse(9);
   auto dense_run = RunPsgd(dense, *loss, *schedule, options, &rng_dense);
-  auto sparse_run =
-      RunSparseLogisticPsgd(sparse, 0.0, *schedule, options, &rng_sparse);
+  auto sparse_run = RunPsgd(sparse, 0.0, *schedule, options, &rng_sparse);
   ASSERT_TRUE(dense_run.ok() && sparse_run.ok());
   EXPECT_EQ(dense_run.value().model, sparse_run.value().model);
   EXPECT_EQ(dense_run.value().stats.updates,
             sparse_run.value().stats.updates);
 }
 
-TEST(SparsePsgdTest, BitExactWithDenseEngineRegularizedProjected) {
+TEST_P(SparsePsgdTest, BitExactWithDenseEngineRegularizedProjected) {
   SyntheticConfig config;
   config.num_examples = 200;
   config.dim = 10;
@@ -170,13 +173,69 @@ TEST(SparsePsgdTest, BitExactWithDenseEngineRegularizedProjected) {
   options.passes = 2;
   options.batch_size = 5;
   options.radius = loss->radius();
+  options.sampling = GetParam();
 
   Rng rng_dense(11), rng_sparse(11);
   auto dense_run = RunPsgd(dense, *loss, *schedule, options, &rng_dense);
-  auto sparse_run = RunSparseLogisticPsgd(sparse, lambda, *schedule, options,
-                                          &rng_sparse);
+  auto sparse_run = RunPsgd(sparse, lambda, *schedule, options, &rng_sparse);
   ASSERT_TRUE(dense_run.ok() && sparse_run.ok());
   EXPECT_EQ(dense_run.value().model, sparse_run.value().model);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sampling, SparsePsgdTest,
+    ::testing::Values(SamplingMode::kPermutation,
+                      SamplingMode::kWithReplacement),
+    [](const ::testing::TestParamInfo<SamplingMode>& info) {
+      return info.param == SamplingMode::kPermutation ? "Permutation"
+                                                      : "WithReplacement";
+    });
+
+// A sparse run checkpointed at pass 1 and resumed from a fresh rng releases
+// the model of an uninterrupted DENSE run: the sparse path shares the
+// dense loop's resume contract, not just its arithmetic.
+TEST(SparsePsgdTest, CheckpointResumeMatchesUninterruptedDenseRun) {
+  SyntheticConfig config;
+  config.num_examples = 120;
+  config.dim = 9;
+  config.seed = 254;
+  Dataset dense = GenerateSynthetic(config).MoveValue();
+  SparseDataset sparse = SparseDataset::FromDense(dense);
+
+  auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
+  auto schedule = MakeConstantStep(0.1).MoveValue();
+  PsgdOptions options;
+  options.passes = 3;
+  options.batch_size = 4;
+  options.fresh_permutation_each_pass = true;
+  options.output = OutputMode::kAverageAll;
+
+  Rng rng_dense(17);
+  auto uninterrupted = RunPsgd(dense, *loss, *schedule, options, &rng_dense);
+  ASSERT_TRUE(uninterrupted.ok());
+
+  PsgdResumeState at_pass_1;
+  PsgdCheckpointPlan capture;
+  capture.every_passes = 1;
+  capture.sink = [&](const PsgdResumeState& state) {
+    if (state.completed_passes == 1) at_pass_1 = state;
+    return Status::OK();
+  };
+  Rng rng_first(17);
+  ASSERT_TRUE(RunPsgd(sparse, 0.0, *schedule, options, &rng_first, nullptr,
+                      nullptr, &capture)
+                  .ok());
+  ASSERT_EQ(at_pass_1.completed_passes, 1u);
+
+  PsgdCheckpointPlan resume;
+  resume.resume = &at_pass_1;
+  Rng rng_resumed(12345);  // overwritten by the captured rng state
+  auto resumed = RunPsgd(sparse, 0.0, *schedule, options, &rng_resumed,
+                         nullptr, nullptr, &resume);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed.value().model, uninterrupted.value().model);
+  EXPECT_EQ(resumed.value().stats.updates,
+            uninterrupted.value().stats.updates);
 }
 
 TEST(SparsePsgdTest, LearnsOnGenuinelySparseData) {
@@ -206,7 +265,7 @@ TEST(SparsePsgdTest, LearnsOnGenuinelySparseData) {
   PsgdOptions options;
   options.passes = 5;
   Rng rng(14);
-  auto run = RunSparseLogisticPsgd(ds, 0.0, *schedule, options, &rng);
+  auto run = RunPsgd(ds, 0.0, *schedule, options, &rng);
   ASSERT_TRUE(run.ok());
   EXPECT_GT(BinaryAccuracy(run.value().model, ds.ToDense()), 0.95);
 }
@@ -216,17 +275,63 @@ TEST(SparsePsgdTest, Validation) {
   auto schedule = MakeConstantStep(0.1).MoveValue();
   PsgdOptions options;
   Rng rng(15);
-  EXPECT_FALSE(
-      RunSparseLogisticPsgd(empty, 0.0, *schedule, options, &rng).ok());
+  EXPECT_FALSE(RunPsgd(empty, 0.0, *schedule, options, &rng).ok());
 
   SparseDataset ds(4, 2);
   ds.Add(SparseExample{SparseVector::FromDense(Vector{1.0, 0, 0, 0}), +1});
-  EXPECT_FALSE(
-      RunSparseLogisticPsgd(ds, -1.0, *schedule, options, &rng).ok());
-  options.sampling = SamplingMode::kWithReplacement;
-  EXPECT_EQ(
-      RunSparseLogisticPsgd(ds, 0.0, *schedule, options, &rng).status().code(),
-      StatusCode::kNotImplemented);
+  EXPECT_FALSE(RunPsgd(ds, -1.0, *schedule, options, &rng).ok());
+  // The sparse path validates exactly as the dense black box does.
+  options.batch_size = 2;
+  EXPECT_EQ(RunPsgd(ds, 0.0, *schedule, options, &rng).status().code(),
+            StatusCode::kInvalidArgument);
+  options.batch_size = 1;
+  options.radius = 0.0;
+  EXPECT_EQ(RunPsgd(ds, 0.0, *schedule, options, &rng).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// The sparse path is the SERIAL black box too: shard-parallel options are
+// refused, never silently run serially.
+TEST(SparsePsgdTest, RejectsShards) {
+  SparseDataset ds(4, 2);
+  ds.Add(SparseExample{SparseVector::FromDense(Vector{1.0, 0, 0, 0}), +1});
+  ds.Add(SparseExample{SparseVector::FromDense(Vector{0, 1.0, 0, 0}), -1});
+  auto schedule = MakeConstantStep(0.1).MoveValue();
+  PsgdOptions options;
+  options.shards = 2;
+  Rng rng(16);
+  EXPECT_EQ(RunPsgd(ds, 0.0, *schedule, options, &rng).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Counts draws: a noise source is asked for exactly one draw per update.
+class CountingNoise : public GradientNoiseSource {
+ public:
+  Result<Vector> Sample(size_t, size_t dim, Rng*) override {
+    ++draws;
+    return Vector(dim);
+  }
+  size_t draws = 0;
+};
+
+// A pre-cancelled token abandons the sparse run before its first update.
+TEST(SparsePsgdTest, PreCancelledRunAppliesNoUpdate) {
+  SyntheticConfig config;
+  config.num_examples = 400;
+  config.dim = 8;
+  config.seed = 255;
+  SparseDataset ds =
+      SparseDataset::FromDense(GenerateSynthetic(config).MoveValue());
+  auto schedule = MakeConstantStep(0.1).MoveValue();
+  CancellationToken cancel;
+  cancel.Cancel();
+  PsgdOptions options;
+  options.executor.cancel = &cancel;
+  CountingNoise noise;
+  Rng rng(18);
+  auto run = RunPsgd(ds, 0.0, *schedule, options, &rng, &noise);
+  EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(noise.draws, 0u);
 }
 
 }  // namespace

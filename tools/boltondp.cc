@@ -51,6 +51,7 @@
 #include "util/net.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
+#include "util/thread_name.h"
 
 namespace bolton {
 namespace {
@@ -188,7 +189,7 @@ int Train(int argc, char** argv) {
     return 0;
   }
 
-  obs::SetCurrentThreadName("main");
+  SetCurrentThreadName("main");
   if (!log_jsonl.empty()) OpenLogJsonlFile(log_jsonl).CheckOK();
   if (!postmortem_dir.empty()) {
     obs::PostmortemOptions postmortem;
@@ -641,7 +642,7 @@ int Serve(int argc, char** argv) {
     return 0;
   }
 
-  obs::SetCurrentThreadName("main");
+  SetCurrentThreadName("main");
   if (!log_jsonl.empty()) OpenLogJsonlFile(log_jsonl).CheckOK();
   // A daemon without its audit trail is not worth running: every pillar on.
   obs::SetAllEnabled(true);
