@@ -7,7 +7,7 @@
 
 namespace bolton {
 
-int MulticlassModel::Predict(const Vector& x) const {
+int MulticlassModel::Predict(VectorView x) const {
   BOLTON_CHECK(!weights.empty());
   int best = 0;
   double best_score = -std::numeric_limits<double>::infinity();

@@ -20,7 +20,7 @@ struct MulticlassModel {
   int num_classes() const { return static_cast<int>(weights.size()); }
 
   /// argmax_c ⟨w_c, x⟩. Requires at least one class and matching dims.
-  int Predict(const Vector& x) const;
+  int Predict(VectorView x) const;
 };
 
 /// Trains one ±1 binary sub-model under the given (sub-)budget. Plug in the

@@ -273,7 +273,7 @@ Result<double> SimulateDeltaT(const Dataset& data, size_t differing_index,
     return Status::InvalidArgument("replacement dimension mismatch");
   }
   Dataset neighbor = data;
-  neighbor.Replace(differing_index, replacement);
+  neighbor.Replace(differing_index, replacement.x, replacement.label);
 
   // Identical seeds make both runs draw identical permutations, so the only
   // divergence is the differing data point — exactly the sup_r coupling of

@@ -1,74 +1,117 @@
 #include "data/dataset.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <functional>
 #include <utility>
 
-#include "random/permutation.h"
+#include "linalg/simd.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
 namespace bolton {
 
-void Dataset::Add(Example example) {
-  BOLTON_CHECK(example.x.dim() == dim_);
-  examples_.push_back(std::move(example));
+void Dataset::Reserve(size_t rows) {
+  features_.reserve(rows * dim_);
+  labels_.reserve(rows);
 }
 
-void Dataset::Replace(size_t index, Example example) {
-  BOLTON_CHECK(index < examples_.size());
-  BOLTON_CHECK(example.x.dim() == dim_);
-  examples_[index] = std::move(example);
+void Dataset::Add(VectorView x, int label) {
+  BOLTON_CHECK(x.dim() == dim_);
+  const double* src = x.data();
+  if (features_.size() + dim_ > features_.capacity()) {
+    // Grow by hand so `x` may view a row of this very block: the source
+    // pointer is rebased onto the new block before the copy.
+    const double* old_begin = features_.data();
+    const std::less<const double*> before;
+    const bool aliases = !before(src, old_begin) &&
+                         before(src, old_begin + features_.size());
+    const size_t offset = aliases ? static_cast<size_t>(src - old_begin) : 0;
+    features_.reserve(
+        std::max(features_.size() + dim_, 2 * features_.capacity()));
+    if (aliases) src = features_.data() + offset;
+  }
+  features_.insert(features_.end(), src, src + dim_);
+  labels_.push_back(label);
+}
+
+void Dataset::Replace(size_t index, VectorView x, int label) {
+  BOLTON_CHECK(index < size());
+  BOLTON_CHECK(x.dim() == dim_);
+  std::memmove(MutableRow(index), x.data(), dim_ * sizeof(double));
+  labels_[index] = label;
 }
 
 void Dataset::NormalizeToUnitBall() {
-  for (Example& e : examples_) {
-    double n = e.x.Norm();
-    if (n > 1.0) e.x *= (1.0 / n);
+  for (size_t i = 0; i < size(); ++i) {
+    double* row = MutableRow(i);
+    double n = std::sqrt(SimdSquaredNorm(row, dim_));
+    if (n > 1.0) SimdScale(row, 1.0 / n, dim_);
   }
 }
 
 double Dataset::MaxFeatureNorm() const {
   double max_norm = 0.0;
-  for (const Example& e : examples_) {
-    double n = e.x.Norm();
+  for (size_t i = 0; i < size(); ++i) {
+    double n = (*this)[i].x.Norm();
     if (n > max_norm) max_norm = n;
   }
   return max_norm;
 }
 
+Dataset Dataset::CopyRange(size_t begin, size_t count) const {
+  Dataset out(dim_, num_classes_);
+  out.features_.assign(features_.begin() + begin * dim_,
+                       features_.begin() + (begin + count) * dim_);
+  out.labels_.assign(labels_.begin() + begin, labels_.begin() + begin + count);
+  return out;
+}
+
 Dataset Dataset::Subset(const std::vector<size_t>& indices) const {
   Dataset out(dim_, num_classes_);
-  for (size_t idx : indices) {
-    BOLTON_CHECK(idx < examples_.size());
-    out.examples_.push_back(examples_[idx]);
+  out.features_.resize(indices.size() * dim_);
+  out.labels_.resize(indices.size());
+  for (size_t k = 0; k < indices.size(); ++k) {
+    const size_t idx = indices[k];
+    BOLTON_CHECK(idx < size());
+    std::memcpy(out.MutableRow(k), features_.data() + idx * dim_,
+                dim_ * sizeof(double));
+    out.labels_[k] = labels_[idx];
   }
   return out;
 }
 
 std::pair<Dataset, Dataset> Dataset::SplitAt(size_t count) const {
-  BOLTON_CHECK(count <= examples_.size());
-  Dataset head(dim_, num_classes_);
-  Dataset tail(dim_, num_classes_);
-  head.examples_.assign(examples_.begin(), examples_.begin() + count);
-  tail.examples_.assign(examples_.begin() + count, examples_.end());
-  return {std::move(head), std::move(tail)};
+  BOLTON_CHECK(count <= size());
+  return {CopyRange(0, count), CopyRange(count, size() - count)};
 }
 
-void Dataset::Shuffle(Rng* rng) { ShuffleInPlace(&examples_, rng); }
+void Dataset::Shuffle(Rng* rng) {
+  if (size() < 2) return;
+  std::vector<double> scratch(dim_);
+  const size_t row_bytes = dim_ * sizeof(double);
+  for (size_t i = size() - 1; i > 0; --i) {
+    size_t j = rng->UniformInt(i + 1);
+    if (j == i) continue;
+    std::memcpy(scratch.data(), MutableRow(i), row_bytes);
+    std::memcpy(MutableRow(i), MutableRow(j), row_bytes);
+    std::memcpy(MutableRow(j), scratch.data(), row_bytes);
+    std::swap(labels_[i], labels_[j]);
+  }
+}
 
 std::vector<Dataset> Dataset::SplitEven(size_t parts) const {
   BOLTON_CHECK(parts >= 1);
-  BOLTON_CHECK(parts <= examples_.size());
+  BOLTON_CHECK(parts <= size());
   std::vector<Dataset> out;
   out.reserve(parts);
-  size_t base = examples_.size() / parts;
-  size_t extra = examples_.size() % parts;
+  size_t base = size() / parts;
+  size_t extra = size() % parts;
   size_t begin = 0;
   for (size_t p = 0; p < parts; ++p) {
     size_t len = base + (p < extra ? 1 : 0);
-    Dataset part(dim_, num_classes_);
-    part.examples_.assign(examples_.begin() + begin,
-                          examples_.begin() + begin + len);
-    out.push_back(std::move(part));
+    out.push_back(CopyRange(begin, len));
     begin += len;
   }
   return out;
@@ -76,9 +119,10 @@ std::vector<Dataset> Dataset::SplitEven(size_t parts) const {
 
 Dataset Dataset::OneVsAllView(int positive_class) const {
   Dataset out(dim_, 2);
-  out.examples_ = examples_;
-  for (Example& e : out.examples_) {
-    e.label = (e.label == positive_class) ? +1 : -1;
+  out.features_ = features_;
+  out.labels_.reserve(size());
+  for (int label : labels_) {
+    out.labels_.push_back(label == positive_class ? +1 : -1);
   }
   return out;
 }

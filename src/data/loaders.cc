@@ -109,12 +109,13 @@ Result<Dataset> LoadLibsvm(const std::string& path, size_t dim) {
   if (binary_pm1) num_classes = 2;
 
   Dataset out(final_dim, num_classes);
+  out.Reserve(rows.size());
   for (SparseRow& r : rows) {
     Vector x(final_dim);
     for (const auto& [idx, val] : r.entries) x[idx] = val;
     int label = r.label;
     if (binary01) label = (label == 0) ? -1 : +1;
-    out.Add(Example{std::move(x), label});
+    out.Add(x, label);
   }
   return out;
 }
@@ -207,12 +208,13 @@ Result<Dataset> LoadCsv(const std::string& path) {
       (binary01 || saw_negative) ? 2 : std::max(2, max_label + (saw_zero ? 1 : 0));
 
   Dataset out(width - 1, num_classes);
+  out.Reserve(rows.size());
   for (auto& r : rows) {
     Vector x(width - 1);
     for (size_t i = 0; i + 1 < r.size(); ++i) x[i] = r[i];
     int label = static_cast<int>(r.back());
     if (binary01) label = (label == 0) ? -1 : +1;
-    out.Add(Example{std::move(x), label});
+    out.Add(x, label);
   }
   return out;
 }

@@ -22,7 +22,7 @@ Result<GaussianRandomProjection> GaussianRandomProjection::Create(
   return GaussianRandomProjection(std::move(map));
 }
 
-Vector GaussianRandomProjection::Apply(const Vector& x) const {
+Vector GaussianRandomProjection::Apply(VectorView x) const {
   return map_.Multiply(x);
 }
 
@@ -33,8 +33,9 @@ Result<Dataset> GaussianRandomProjection::Apply(const Dataset& dataset) const {
                   dataset.dim(), input_dim()));
   }
   Dataset out(output_dim(), dataset.num_classes());
+  out.Reserve(dataset.size());
   for (size_t i = 0; i < dataset.size(); ++i) {
-    out.Add(Example{Apply(dataset[i].x), dataset[i].label});
+    out.Add(Apply(dataset[i].x), dataset[i].label);
   }
   out.NormalizeToUnitBall();
   return out;

@@ -30,7 +30,7 @@ class GaussianRandomProjection {
   size_t output_dim() const { return map_.rows(); }
 
   /// Projects one feature vector. Requires x.dim() == input_dim().
-  Vector Apply(const Vector& x) const;
+  Vector Apply(VectorView x) const;
 
   /// Projects every example and re-normalizes features to the unit ball
   /// (the analysis requires ‖x‖ ≤ 1 post-projection).

@@ -30,8 +30,9 @@ double SparseDataset::AverageNnz() const {
 
 Dataset SparseDataset::ToDense() const {
   Dataset out(dim_, num_classes_);
+  out.Reserve(examples_.size());
   for (const SparseExample& e : examples_) {
-    out.Add(Example{e.x.ToDense(), e.label});
+    out.Add(e.x.ToDense(), e.label);
   }
   return out;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
+#include <vector>
 
 #include "random/distributions.h"
 #include "util/strings.h"
@@ -18,19 +19,7 @@ size_t Scaled(size_t raw, double scale, size_t min_count = 64) {
   return std::max(min_count, static_cast<size_t>(scaled));
 }
 
-// Generates train+test from one teacher so the two splits share the
-// distribution, then normalizes both to the unit ball.
-Result<std::pair<Dataset, Dataset>> GenerateSplit(SyntheticConfig config,
-                                                  size_t test_count) {
-  size_t train_count = config.num_examples;
-  config.num_examples = train_count + test_count;
-  BOLTON_ASSIGN_OR_RETURN(Dataset all, GenerateSynthetic(config));
-  return all.SplitAt(train_count);
-}
-
-}  // namespace
-
-Result<Dataset> GenerateSynthetic(const SyntheticConfig& config) {
+Status ValidateConfig(const SyntheticConfig& config) {
   if (config.num_examples < 1) {
     return Status::InvalidArgument("num_examples must be >= 1");
   }
@@ -44,7 +33,16 @@ Result<Dataset> GenerateSynthetic(const SyntheticConfig& config) {
   if (config.noise_stddev < 0.0) {
     return Status::InvalidArgument("noise_stddev must be >= 0");
   }
+  return Status::OK();
+}
 
+// Draws the config.num_examples rows of one GenerateSynthetic(config) run:
+// the first `head_rows` go to *head, the rest to *tail, and both are
+// normalized to the unit ball (a per-row operation, so the rows equal those
+// of one dataset split afterwards). Each block is reserved once and no
+// split copy is made, so a draw never holds its rows twice.
+void DrawRows(const SyntheticConfig& config, size_t head_rows, Dataset* head,
+              Dataset* tail) {
   Rng rng(config.seed);
   // One prototype per class, uniformly random directions at radius `margin`.
   std::vector<Vector> prototypes;
@@ -55,7 +53,10 @@ Result<Dataset> GenerateSynthetic(const SyntheticConfig& config) {
     prototypes.push_back(std::move(p));
   }
 
-  Dataset out(config.dim, config.num_classes);
+  *head = Dataset(config.dim, config.num_classes);
+  *tail = Dataset(config.dim, config.num_classes);
+  head->Reserve(head_rows);
+  tail->Reserve(config.num_examples - head_rows);
   for (size_t i = 0; i < config.num_examples; ++i) {
     int cls = static_cast<int>(rng.UniformInt(config.num_classes));
     Vector x = prototypes[cls];
@@ -70,9 +71,30 @@ Result<Dataset> GenerateSynthetic(const SyntheticConfig& config) {
       label = other >= cls ? other + 1 : other;
     }
     if (config.num_classes == 2) label = (label == 0) ? -1 : +1;
-    out.Add(Example{std::move(x), label});
+    (i < head_rows ? head : tail)->Add(x, label);
   }
-  out.NormalizeToUnitBall();
+  head->NormalizeToUnitBall();
+  tail->NormalizeToUnitBall();
+}
+
+// Generates train+test from one teacher so the two splits share the
+// distribution, then normalizes both to the unit ball.
+Result<std::pair<Dataset, Dataset>> GenerateSplit(SyntheticConfig config,
+                                                  size_t test_count) {
+  const size_t train_count = config.num_examples;
+  config.num_examples = train_count + test_count;
+  BOLTON_RETURN_IF_ERROR(ValidateConfig(config));
+  std::pair<Dataset, Dataset> split;
+  DrawRows(config, train_count, &split.first, &split.second);
+  return split;
+}
+
+}  // namespace
+
+Result<Dataset> GenerateSynthetic(const SyntheticConfig& config) {
+  BOLTON_RETURN_IF_ERROR(ValidateConfig(config));
+  Dataset out, empty;
+  DrawRows(config, config.num_examples, &out, &empty);
   return out;
 }
 

@@ -34,7 +34,7 @@ Result<Standardizer> Standardizer::Fit(const Dataset& data) {
   return Standardizer(std::move(means), std::move(stddevs));
 }
 
-Vector Standardizer::Apply(const Vector& x) const {
+Vector Standardizer::Apply(VectorView x) const {
   BOLTON_CHECK(x.dim() == means_.dim());
   Vector out(x.dim());
   for (size_t j = 0; j < x.dim(); ++j) {
@@ -50,8 +50,9 @@ Result<Dataset> Standardizer::Apply(const Dataset& data) const {
                   means_.dim()));
   }
   Dataset out(data.dim(), data.num_classes());
+  out.Reserve(data.size());
   for (size_t i = 0; i < data.size(); ++i) {
-    out.Add(Example{Apply(data[i].x), data[i].label});
+    out.Add(Apply(data[i].x), data[i].label);
   }
   return out;
 }

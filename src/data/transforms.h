@@ -24,7 +24,7 @@ class Standardizer {
   static Result<Standardizer> Fit(const Dataset& data);
 
   /// Transforms one feature vector. Requires matching dimension.
-  Vector Apply(const Vector& x) const;
+  Vector Apply(VectorView x) const;
 
   /// Transforms a whole dataset (labels untouched). Does NOT re-normalize
   /// to the unit ball; call Dataset::NormalizeToUnitBall afterwards when

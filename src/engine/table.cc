@@ -13,26 +13,24 @@ namespace {
 
 class MemoryTable final : public Table {
  public:
-  explicit MemoryTable(std::vector<Example> rows, size_t dim)
-      : rows_(std::move(rows)), dim_(dim) {}
+  explicit MemoryTable(Dataset rows) : rows_(std::move(rows)) {}
 
   size_t num_rows() const override { return rows_.size(); }
-  size_t dim() const override { return dim_; }
+  size_t dim() const override { return rows_.dim(); }
   StorageMode mode() const override { return StorageMode::kMemory; }
 
   Status Shuffle(Rng* rng) override {
-    ShuffleInPlace(&rows_, rng);
+    rows_.Shuffle(rng);
     return Status::OK();
   }
 
   Status Scan(const RowFn& fn) const override {
-    for (const Example& row : rows_) fn(row);
+    for (size_t i = 0; i < rows_.size(); ++i) fn(rows_[i]);
     return Status::OK();
   }
 
  private:
-  std::vector<Example> rows_;
-  size_t dim_;
+  Dataset rows_;
 };
 
 // Fixed-width binary row: dim feature doubles followed by the label as a
@@ -70,7 +68,7 @@ Status DiskTable::WriteAll(const Dataset& data) {
   if (!out) return Status::IOError("cannot create spill file " + path_);
   std::vector<double> row(RowWidth());
   for (size_t i = 0; i < data.size(); ++i) {
-    const Example& e = data[i];
+    const Example e = data[i];
     for (size_t j = 0; j < dim_; ++j) row[j] = e.x[j];
     row[dim_] = static_cast<double>(e.label);
     out.write(reinterpret_cast<const char*>(row.data()),
@@ -92,11 +90,9 @@ Status DiskTable::Scan(const RowFn& fn) const {
             static_cast<std::streamsize>(batch * row_width * sizeof(double)));
     if (!in) return Status::IOError("short read from " + path_);
     for (size_t r = 0; r < batch; ++r) {
+      // The UDA sees a view into the page buffer, valid for this call.
       const double* base = page.data() + r * row_width;
-      Example e;
-      e.x = Vector(std::vector<double>(base, base + dim_));
-      e.label = static_cast<int>(base[dim_]);
-      fn(e);
+      fn(Example(VectorView(base, dim_), static_cast<int>(base[dim_])));
     }
     remaining -= batch;
   }
@@ -186,6 +182,7 @@ Status DiskTable::Shuffle(Rng* rng) {
 
 Result<Dataset> Table::ToDataset(int num_classes) const {
   Dataset out(dim(), num_classes);
+  out.Reserve(num_rows());
   Status scan = Scan([&out](const Example& e) { out.Add(e); });
   BOLTON_RETURN_IF_ERROR(scan);
   return out;
@@ -196,9 +193,7 @@ Result<std::unique_ptr<Table>> MakeTable(const Dataset& data, StorageMode mode,
                                          size_t page_rows) {
   if (data.empty()) return Status::InvalidArgument("empty dataset");
   if (mode == StorageMode::kMemory) {
-    std::vector<Example> rows(data.examples());
-    return std::unique_ptr<Table>(
-        new MemoryTable(std::move(rows), data.dim()));
+    return std::unique_ptr<Table>(new MemoryTable(data));
   }
   if (spill_path.empty()) {
     return Status::InvalidArgument("disk tables need a spill_path");

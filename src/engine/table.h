@@ -45,7 +45,9 @@ class Table {
   /// RANDOM()`).
   virtual Status Shuffle(Rng* rng) = 0;
 
-  /// One sequential pass over the rows in their current order.
+  /// One sequential pass over the rows in their current order. Each row's
+  /// features are a view into the table's own storage (its dataset block
+  /// or the current I/O page), valid only for the duration of the call.
   virtual Status Scan(const RowFn& fn) const = 0;
 
   /// Copies all rows (current order) into a Dataset. Primarily for tests.

@@ -13,7 +13,7 @@ Vector Matrix::Row(size_t r) const {
   return out;
 }
 
-Vector Matrix::Multiply(const Vector& x) const {
+Vector Matrix::Multiply(VectorView x) const {
   BOLTON_CHECK(x.dim() == cols_);
   Vector out(rows_);
   for (size_t r = 0; r < rows_; ++r) {
@@ -25,7 +25,7 @@ Vector Matrix::Multiply(const Vector& x) const {
   return out;
 }
 
-Vector Matrix::MultiplyTransposed(const Vector& x) const {
+Vector Matrix::MultiplyTransposed(VectorView x) const {
   BOLTON_CHECK(x.dim() == rows_);
   Vector out(cols_);
   for (size_t r = 0; r < rows_; ++r) {

@@ -31,10 +31,10 @@ class Matrix {
   Vector Row(size_t r) const;
 
   /// Matrix-vector product: returns `this * x`. Requires x.dim() == cols().
-  Vector Multiply(const Vector& x) const;
+  Vector Multiply(VectorView x) const;
 
   /// Transposed product: returns `this^T * x`. Requires x.dim() == rows().
-  Vector MultiplyTransposed(const Vector& x) const;
+  Vector MultiplyTransposed(VectorView x) const;
 
   /// Frobenius norm.
   double FrobeniusNorm() const;

@@ -33,7 +33,7 @@ Result<SparseVector> SparseVector::FromEntries(size_t dim,
   return out;
 }
 
-SparseVector SparseVector::FromDense(const Vector& dense, double threshold) {
+SparseVector SparseVector::FromDense(VectorView dense, double threshold) {
   SparseVector out(dense.dim());
   for (size_t i = 0; i < dense.dim(); ++i) {
     if (std::abs(dense[i]) > threshold) out.entries_.emplace_back(i, dense[i]);

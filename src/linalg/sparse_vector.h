@@ -31,7 +31,7 @@ class SparseVector {
                                           std::vector<Entry> entries);
 
   /// Sparsifies a dense vector, dropping entries with |v| <= threshold.
-  static SparseVector FromDense(const Vector& dense, double threshold = 0.0);
+  static SparseVector FromDense(VectorView dense, double threshold = 0.0);
 
   size_t dim() const { return dim_; }
   size_t nnz() const { return entries_.size(); }

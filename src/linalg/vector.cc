@@ -1,5 +1,6 @@
 #include "linalg/vector.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/simd.h"
@@ -15,15 +16,15 @@ void Vector::SetZero() {
   for (double& x : data_) x = 0.0;
 }
 
-Vector& Vector::operator+=(const Vector& other) {
+Vector& Vector::operator+=(VectorView other) {
   BOLTON_CHECK(dim() == other.dim());
-  SimdAdd(data_.data(), other.data_.data(), data_.size());
+  SimdAdd(data_.data(), other.data(), data_.size());
   return *this;
 }
 
-Vector& Vector::operator-=(const Vector& other) {
+Vector& Vector::operator-=(VectorView other) {
   BOLTON_CHECK(dim() == other.dim());
-  SimdSub(data_.data(), other.data_.data(), data_.size());
+  SimdSub(data_.data(), other.data(), data_.size());
   return *this;
 }
 
@@ -37,15 +38,21 @@ Vector& Vector::operator/=(double scalar) {
   return (*this) *= (1.0 / scalar);
 }
 
-void Vector::Axpy(double scalar, const Vector& other) {
+void Vector::Axpy(double scalar, VectorView other) {
   BOLTON_CHECK(dim() == other.dim());
-  SimdAxpy(scalar, other.data_.data(), data_.data(), data_.size());
+  SimdAxpy(scalar, other.data(), data_.data(), data_.size());
 }
 
-double Vector::Norm() const { return std::sqrt(SquaredNorm()); }
+double Vector::Norm() const { return VectorView(*this).Norm(); }
 
-double Vector::SquaredNorm() const {
-  return SimdSquaredNorm(data_.data(), data_.size());
+double Vector::SquaredNorm() const { return VectorView(*this).SquaredNorm(); }
+
+double VectorView::Norm() const { return std::sqrt(SquaredNorm()); }
+
+double VectorView::SquaredNorm() const { return SimdSquaredNorm(data_, dim_); }
+
+bool operator==(VectorView a, VectorView b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
 Vector operator+(const Vector& a, const Vector& b) {
@@ -68,12 +75,12 @@ Vector operator*(double scalar, const Vector& v) {
 
 Vector operator*(const Vector& v, double scalar) { return scalar * v; }
 
-double Dot(const Vector& a, const Vector& b) {
+double Dot(VectorView a, VectorView b) {
   BOLTON_CHECK(a.dim() == b.dim());
   return SimdDot(a.data(), b.data(), a.dim());
 }
 
-double Distance(const Vector& a, const Vector& b) {
+double Distance(VectorView a, VectorView b) {
   BOLTON_CHECK(a.dim() == b.dim());
   return std::sqrt(SimdSquaredDistance(a.data(), b.data(), a.dim()));
 }

@@ -9,6 +9,38 @@
 
 namespace bolton {
 
+class Vector;
+
+/// A read-only view of `dim` contiguous doubles owned elsewhere: a Dataset
+/// row, a row of a disk table's page buffer, or a Vector. Cheap to copy; it
+/// never owns or outlives the storage it points into. Every dense kernel
+/// that only reads an operand (Dot, Axpy, +=, norms) takes a VectorView,
+/// so a Vector and a dataset row go through the same Simd* call.
+class VectorView {
+ public:
+  VectorView() = default;
+  VectorView(const double* data, size_t dim) : data_(data), dim_(dim) {}
+  /// Views `v`'s storage (implicit, like std::string_view from a string).
+  VectorView(const Vector& v);
+
+  size_t dim() const { return dim_; }
+  bool empty() const { return dim_ == 0; }
+  double operator[](size_t i) const { return data_[i]; }
+  const double* data() const { return data_; }
+  const double* begin() const { return data_; }
+  const double* end() const { return data_ + dim_; }
+
+  double Norm() const;
+  double SquaredNorm() const;
+
+ private:
+  const double* data_ = nullptr;
+  size_t dim_ = 0;
+};
+
+/// Element-wise equality (so -0.0 == 0.0 and NaN != NaN, as for doubles).
+bool operator==(VectorView a, VectorView b);
+
 /// Dense real vector used for hypotheses (model weights), feature vectors,
 /// gradients, and noise draws.
 ///
@@ -29,8 +61,9 @@ class Vector {
   /// From a braced list: Vector v{1.0, 2.0, 3.0};
   Vector(std::initializer_list<double> init) : data_(init) {}
 
-  /// From an existing buffer.
-  explicit Vector(std::vector<double> values) : data_(std::move(values)) {}
+  /// An owning copy of a view (implicit, so a dataset row binds to a
+  /// `const Vector&`; hot paths take a VectorView instead of copying).
+  Vector(VectorView view) : data_(view.begin(), view.end()) {}
 
   Vector(const Vector&) = default;
   Vector& operator=(const Vector&) = default;
@@ -62,13 +95,13 @@ class Vector {
   void SetZero();
 
   /// In-place arithmetic. Dimensions must match.
-  Vector& operator+=(const Vector& other);
-  Vector& operator-=(const Vector& other);
+  Vector& operator+=(VectorView other);
+  Vector& operator-=(VectorView other);
   Vector& operator*=(double scalar);
   Vector& operator/=(double scalar);
 
   /// this += scalar * other  (BLAS axpy). Dimensions must match.
-  void Axpy(double scalar, const Vector& other);
+  void Axpy(double scalar, VectorView other);
 
   /// Euclidean (L2) norm.
   double Norm() const;
@@ -76,13 +109,12 @@ class Vector {
   /// Squared Euclidean norm; cheaper when the root is not needed.
   double SquaredNorm() const;
 
-  friend bool operator==(const Vector& a, const Vector& b) {
-    return a.data_ == b.data_;
-  }
-
  private:
   std::vector<double> data_;
 };
+
+inline VectorView::VectorView(const Vector& v)
+    : data_(v.data()), dim_(v.dim()) {}
 
 /// Value-returning arithmetic. Dimensions must match.
 Vector operator+(const Vector& a, const Vector& b);
@@ -91,10 +123,10 @@ Vector operator*(double scalar, const Vector& v);
 Vector operator*(const Vector& v, double scalar);
 
 /// Inner product <a, b>. Dimensions must match.
-double Dot(const Vector& a, const Vector& b);
+double Dot(VectorView a, VectorView b);
 
 /// Euclidean distance ||a - b||.
-double Distance(const Vector& a, const Vector& b);
+double Distance(VectorView a, VectorView b);
 
 /// Scales `v` so that ||v|| == 1. A zero vector is returned unchanged.
 Vector Normalized(const Vector& v);

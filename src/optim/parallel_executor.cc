@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -138,10 +139,11 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
   const uint64_t seed_base = rng->Next();
 
   // Balanced contiguous split of the permutation: the first m mod s shards
-  // take ⌈m/s⌉ indices, the rest ⌊m/s⌋.
-  std::vector<Dataset> shard_data;
+  // take ⌈m/s⌉ indices, the rest ⌊m/s⌋. A shard is its slice of `order`;
+  // it reads the parent's rows through it, so no feature is copied.
+  std::vector<std::span<const size_t>> shard_rows;
   std::vector<size_t> shard_sizes;
-  shard_data.reserve(s);
+  shard_rows.reserve(s);
   shard_sizes.reserve(s);
   {
     obs::ScopedSpan split_span("psgd.shard_split");
@@ -150,9 +152,7 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
     size_t offset = 0;
     for (size_t j = 0; j < s; ++j) {
       const size_t size_j = base + (j < remainder ? 1 : 0);
-      std::vector<size_t> indices(order.begin() + offset,
-                                  order.begin() + offset + size_j);
-      shard_data.push_back(data.Subset(indices));
+      shard_rows.emplace_back(order.data() + offset, size_j);
       shard_sizes.push_back(size_j);
       offset += size_j;
     }
@@ -209,7 +209,8 @@ Result<ShardedPsgdOutput> RunShardedPsgd(const Dataset& data,
   auto attempt_shard = [&](size_t j) -> Result<PsgdOutput> {
     BOLTON_FAILPOINT("shard.worker");
     Rng shard_rng(ShardSeed(seed_base, j));
-    return RunPsgd(shard_data[j], loss, schedule, shard_options, &shard_rng);
+    return RunPsgdOnRows(data, shard_rows[j], loss, schedule, shard_options,
+                         &shard_rng);
   };
 
   std::vector<Result<PsgdOutput>> results(s, Result<PsgdOutput>(PsgdOutput()));

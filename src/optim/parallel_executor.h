@@ -47,7 +47,7 @@ struct WorkerStats {
 /// run-level phases that are not attributable to any worker.
 struct WorkerUtilization {
   std::vector<WorkerStats> workers;
-  uint64_t partition_ns = 0;  // permutation draw + shard split
+  uint64_t partition_ns = 0;  // permutation draw + shard slicing
   uint64_t dispatch_ns = 0;   // pool submit to last slice completion
   uint64_t average_ns = 0;    // fixed-order model averaging
   /// Σ busy / Σ (busy + idle) over all workers; 1.0 when every worker was
@@ -82,8 +82,11 @@ uint64_t ShardSeed(uint64_t seed_base, size_t shard);
 ///
 ///   1. draw one permutation τ of [m] from `rng` and partition it into
 ///      `options.shards` disjoint contiguous shards (shared-nothing);
-///   2. run black-box RunPsgd per shard on its own worker thread, each with
-///      an independent counter-seeded RNG stream (ShardSeed);
+///   2. run the black box per shard on its own worker thread, each with
+///      an independent counter-seeded RNG stream (ShardSeed); shard j reads
+///      the parent's rows through its slice τ_j of the permutation
+///      (RunPsgdOnRows), which is bit-identical to running RunPsgd on the
+///      copy data.Subset(τ_j) and copies no feature;
 ///   3. release the uniform average of the shard models.
 ///
 /// Privacy-wise this is exactly the hook the bolt-on analysis allows: each

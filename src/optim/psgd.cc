@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
@@ -50,26 +51,55 @@ void FlushStats(const PsgdStats& stats) {
   noise_samples->Increment(stats.noise_samples);
 }
 
+/// How many permuted rows ahead of the current one the dense loop
+/// prefetches. One row's work depends on the previous row's update, so
+/// out-of-order execution cannot start the next row's DRAM miss early;
+/// the prefetch does. At d = 50 (~7 cache lines a row) distances of 4, 8
+/// and 16 measured alike.
+constexpr size_t kPrefetchDistance = 8;
+
 /// Row-access policy of the dense black box: a row's gradient goes through
 /// the loss's virtual AddGradient, and the step and the reset each visit
-/// all d coordinates.
+/// all d coordinates. Row k is data[k], or data[rows[k]] when an index
+/// list is given (a shard reading its slice of the parent's block).
 class DenseRows {
  public:
-  DenseRows(const Dataset& data, const LossFunction& loss)
-      : data_(data), loss_(loss) {}
+  DenseRows(const Dataset& data, const LossFunction& loss,
+            std::span<const size_t> rows = {})
+      : data_(data),
+        loss_(loss),
+        rows_(rows),
+        size_(rows.empty() ? data.size() : rows.size()) {}
 
-  size_t size() const { return data_.size(); }
+  size_t size() const { return size_; }
   size_t dim() const { return data_.dim(); }
 
   void AddGradient(const Vector& w, size_t row, double scale, Vector* grad) {
-    loss_.AddGradient(w, data_[row], scale, grad);
+    loss_.AddGradient(w, data_[Row(row)], scale, grad);
   }
   void Step(double eta, const Vector& grad, Vector* w) { w->Axpy(-eta, grad); }
   void ResetGradient(Vector* grad) { grad->SetZero(); }
 
+  /// Pulls every cache line of row `row` toward L1 ahead of its use.
+  /// Always inlined: GCC deems an out-of-line function whose only effect
+  /// is __builtin_prefetch free of side effects and deletes its calls.
+  [[gnu::always_inline]] void Prefetch(size_t row) const {
+    const VectorView x = data_[Row(row)].x;
+    constexpr uintptr_t kLine = 64;
+    const uintptr_t last = reinterpret_cast<uintptr_t>(x.end() - 1);
+    for (uintptr_t line = reinterpret_cast<uintptr_t>(x.begin()) & ~(kLine - 1);
+         line <= last; line += kLine) {
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
+    }
+  }
+
  private:
+  size_t Row(size_t k) const { return rows_.empty() ? k : rows_[k]; }
+
   const Dataset& data_;
   const LossFunction& loss_;
+  std::span<const size_t> rows_;  // empty: storage order
+  size_t size_;
 };
 
 /// Row-access policy for L2-regularized logistic regression over sparse
@@ -85,6 +115,9 @@ class SparseLogisticRows {
 
   size_t size() const { return data_.size(); }
   size_t dim() const { return data_.dim(); }
+
+  /// A sparse row is a few scattered entries; nothing worth prefetching.
+  void Prefetch(size_t) const {}
 
   void AddGradient(const Vector& w, size_t row, double scale, Vector* grad) {
     const SparseExample& e = data_[row];
@@ -128,8 +161,9 @@ class SparseLogisticRows {
 };
 
 /// The one PSGD pass/batch loop, over any row-access policy `Rows` that
-/// accumulates a row's gradient, applies the step, and resets the
-/// gradient (see DenseRows). The gradient is zero on entry to every batch.
+/// accumulates a row's gradient, applies the step, resets the gradient and
+/// may prefetch a row (see DenseRows). The gradient is zero on entry to
+/// every batch.
 template <typename Rows>
 Result<PsgdOutput> RunPsgdLoop(
     Rows& rows, const StepSizeSchedule& schedule, const PsgdOptions& options,
@@ -232,7 +266,11 @@ Result<PsgdOutput> RunPsgdLoop(
         for (size_t j = 0; j < batch_len; ++j) {
           size_t idx;
           if (options.sampling == SamplingMode::kPermutation) {
-            idx = order[begin + j];
+            const size_t pos = begin + j;
+            idx = order[pos];
+            if (pos + kPrefetchDistance < m) {
+              rows.Prefetch(order[pos + kPrefetchDistance]);
+            }
           } else {
             idx = rng->UniformInt(m);
           }
@@ -314,6 +352,24 @@ Result<PsgdOutput> RunPsgd(
   DenseRows rows(data, loss);
   return RunPsgdLoop(rows, schedule, options, rng, noise, pass_callback,
                      checkpoint);
+}
+
+Result<PsgdOutput> RunPsgdOnRows(const Dataset& data,
+                                 std::span<const size_t> rows,
+                                 const LossFunction& loss,
+                                 const StepSizeSchedule& schedule,
+                                 const PsgdOptions& options, Rng* rng) {
+  if (rows.empty()) return Status::InvalidArgument("empty training set");
+  for (size_t row : rows) {
+    if (row >= data.size()) {
+      return Status::OutOfRange(
+          StrFormat("row index %zu exceeds training size %zu", row,
+                    data.size()));
+    }
+  }
+  DenseRows dense(data, loss, rows);
+  return RunPsgdLoop(dense, schedule, options, rng, /*noise=*/nullptr,
+                     /*pass_callback=*/nullptr, /*checkpoint=*/nullptr);
 }
 
 Result<PsgdOutput> RunPsgd(

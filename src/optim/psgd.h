@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <limits>
+#include <span>
 
 #include "data/dataset.h"
 #include "data/sparse_dataset.h"
@@ -126,6 +127,17 @@ Result<PsgdOutput> RunPsgd(
     GradientNoiseSource* noise = nullptr,
     const std::function<void(size_t, const Vector&)>& pass_callback = nullptr,
     const PsgdCheckpointPlan* checkpoint = nullptr);
+
+/// The serial black box over the rows data[rows[0]], data[rows[1]], … in
+/// that order: bit-identical to RunPsgd(data.Subset(rows), …) with the same
+/// rng, without copying a feature. Each shard of RunShardedPsgd reads its
+/// slice of the parent's block through it. `rows` must be non-empty, in
+/// range, and outlive the call.
+Result<PsgdOutput> RunPsgdOnRows(const Dataset& data,
+                                 std::span<const size_t> rows,
+                                 const LossFunction& loss,
+                                 const StepSizeSchedule& schedule,
+                                 const PsgdOptions& options, Rng* rng);
 
 /// The same black box for L2-regularized logistic regression over SPARSE
 /// features: one loop with the dense overload, so it is bit-for-bit RunPsgd

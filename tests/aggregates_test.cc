@@ -10,9 +10,9 @@ namespace {
 
 Dataset MakeTiny() {
   Dataset ds(2, 2);
-  ds.Add(Example{Vector{1.0, 0.0}, +1});
-  ds.Add(Example{Vector{0.0, 1.0}, -1});
-  ds.Add(Example{Vector{0.5, 0.5}, +1});
+  ds.Add(Vector{1.0, 0.0}, +1);
+  ds.Add(Vector{0.0, 1.0}, -1);
+  ds.Add(Vector{0.5, 0.5}, +1);
   return ds;
 }
 
@@ -51,9 +51,9 @@ TEST(LabelCountUdaTest, CountsPerSign) {
 
 TEST(NormStatsUdaTest, MinMaxMean) {
   Dataset ds(1, 2);
-  ds.Add(Example{Vector{3.0}, +1});
-  ds.Add(Example{Vector{-1.0}, -1});
-  ds.Add(Example{Vector{2.0}, +1});
+  ds.Add(Vector{3.0}, +1);
+  ds.Add(Vector{-1.0}, -1);
+  ds.Add(Vector{2.0}, +1);
   auto table = MakeTable(ds, StorageMode::kMemory).MoveValue();
   auto stats = TableNormStats(*table);
   ASSERT_TRUE(stats.ok());

@@ -13,11 +13,11 @@ namespace {
 Dataset MakeScored() {
   // Model w = (1) scores x directly; construct known confusion counts.
   Dataset test(1, 2);
-  test.Add(Example{Vector{2.0}, +1});   // TP
-  test.Add(Example{Vector{1.0}, +1});   // TP
-  test.Add(Example{Vector{0.5}, -1});   // FP
-  test.Add(Example{Vector{-1.0}, -1});  // TN
-  test.Add(Example{Vector{-2.0}, +1});  // FN
+  test.Add(Vector{2.0}, +1);   // TP
+  test.Add(Vector{1.0}, +1);   // TP
+  test.Add(Vector{0.5}, -1);   // FP
+  test.Add(Vector{-1.0}, -1);  // TN
+  test.Add(Vector{-2.0}, +1);  // FN
   return test;
 }
 
@@ -63,10 +63,10 @@ TEST(BinaryStatsTest, ToStringMentionsEverything) {
 
 TEST(RocAucTest, PerfectSeparationIsOne) {
   Dataset test(1, 2);
-  test.Add(Example{Vector{3.0}, +1});
-  test.Add(Example{Vector{2.0}, +1});
-  test.Add(Example{Vector{-1.0}, -1});
-  test.Add(Example{Vector{-2.0}, -1});
+  test.Add(Vector{3.0}, +1);
+  test.Add(Vector{2.0}, +1);
+  test.Add(Vector{-1.0}, -1);
+  test.Add(Vector{-2.0}, -1);
   EXPECT_DOUBLE_EQ(RocAuc(Vector{1.0}, test).value(), 1.0);
   // An anti-model gets AUC 0.
   EXPECT_DOUBLE_EQ(RocAuc(Vector{-1.0}, test).value(), 0.0);
@@ -75,10 +75,10 @@ TEST(RocAucTest, PerfectSeparationIsOne) {
 TEST(RocAucTest, TiesGetHalfCredit) {
   // All scores identical: AUC must be exactly 0.5 via midranks.
   Dataset test(1, 2);
-  test.Add(Example{Vector{1.0}, +1});
-  test.Add(Example{Vector{1.0}, -1});
-  test.Add(Example{Vector{1.0}, +1});
-  test.Add(Example{Vector{1.0}, -1});
+  test.Add(Vector{1.0}, +1);
+  test.Add(Vector{1.0}, -1);
+  test.Add(Vector{1.0}, +1);
+  test.Add(Vector{1.0}, -1);
   EXPECT_DOUBLE_EQ(RocAuc(Vector{1.0}, test).value(), 0.5);
 }
 
@@ -86,17 +86,17 @@ TEST(RocAucTest, HandComputedMixedCase) {
   // Scores: +1 examples at {3, 1}, −1 examples at {2, 0}.
   // Pairs: (3>2, 3>0, 1<2, 1>0) → 3 of 4 → AUC 0.75.
   Dataset test(1, 2);
-  test.Add(Example{Vector{3.0}, +1});
-  test.Add(Example{Vector{1.0}, +1});
-  test.Add(Example{Vector{2.0}, -1});
-  test.Add(Example{Vector{0.0}, -1});
+  test.Add(Vector{3.0}, +1);
+  test.Add(Vector{1.0}, +1);
+  test.Add(Vector{2.0}, -1);
+  test.Add(Vector{0.0}, -1);
   EXPECT_DOUBLE_EQ(RocAuc(Vector{1.0}, test).value(), 0.75);
 }
 
 TEST(RocAucTest, SingleClassRejected) {
   Dataset test(1, 2);
-  test.Add(Example{Vector{1.0}, +1});
-  test.Add(Example{Vector{2.0}, +1});
+  test.Add(Vector{1.0}, +1);
+  test.Add(Vector{2.0}, +1);
   EXPECT_FALSE(RocAuc(Vector{1.0}, test).ok());
 }
 

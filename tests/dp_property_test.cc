@@ -86,7 +86,7 @@ TEST_F(DpPropertyTest, LikelihoodRatioBoundedByEpsilon) {
   Dataset neighbor = data;
   Example flipped = data[10];
   flipped.label = -flipped.label;
-  neighbor.Replace(10, flipped);
+  neighbor.Replace(10, flipped.x, flipped.label);
 
   BoltOnOptions options;
   options.privacy = PrivacyParams{0.5, 0.0};
@@ -131,7 +131,7 @@ TEST_F(DpPropertyTest, NeighborsAreDistinguishableWithoutNoise) {
   Dataset neighbor = data;
   Example flipped = data[10];
   flipped.label = -flipped.label;
-  neighbor.Replace(10, flipped);
+  neighbor.Replace(10, flipped.x, flipped.label);
 
   auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
   auto schedule = MakeConstantStep(0.2).MoveValue();

@@ -40,7 +40,8 @@ TEST(SgdUdaTest, SingleTransitionMatchesManualUpdate) {
 
   Vector w0{0.1, -0.2};
   uda.Initialize(w0);
-  Example e{Vector{1.0, 0.0}, +1};
+  const Vector e_x{1.0, 0.0};
+  Example e{e_x, +1};
   uda.Transition(e);
   Vector w1 = uda.Terminate();
 
@@ -57,8 +58,10 @@ TEST(SgdUdaTest, MiniBatchAveragesGradients) {
 
   Vector w0(2);
   uda.Initialize(w0);
-  Example a{Vector{1.0, 0.0}, +1};
-  Example b{Vector{0.0, 1.0}, -1};
+  const Vector a_x{1.0, 0.0};
+  Example a{a_x, +1};
+  const Vector b_x{0.0, 1.0};
+  Example b{b_x, -1};
   uda.Transition(a);
   uda.Transition(b);
   Vector w1 = uda.Terminate();
@@ -75,7 +78,8 @@ TEST(SgdUdaTest, TerminateFlushesPartialBatch) {
   options.batch_size = 10;
   SgdUda uda(*loss, *schedule, options);
   uda.Initialize(Vector(2));
-  uda.Transition(Example{Vector{1.0, 0.0}, +1});  // one row, batch of 10
+  const Vector x{1.0, 0.0};
+  uda.Transition(Example{x, +1});  // one row, batch of 10
   Vector w1 = uda.Terminate();
   EXPECT_GT(w1.Norm(), 0.0);  // the partial batch still produced an update
   EXPECT_EQ(uda.stats().updates, 1u);
@@ -88,7 +92,8 @@ TEST(SgdUdaTest, StepCounterPersistsAcrossEpochs) {
   SgdUdaOptions options;
   SgdUda uda(*loss, *schedule, options);
 
-  Example e{Vector{1.0}, +1};
+  const Vector e_x{1.0};
+  Example e{e_x, +1};
   uda.Initialize(Vector(1));
   uda.Transition(e);
   Vector after_first = uda.Terminate();
@@ -108,7 +113,8 @@ TEST(SgdUdaTest, ProjectionApplied) {
   options.radius = 0.01;
   SgdUda uda(*loss, *schedule, options);
   uda.Initialize(Vector(2));
-  uda.Transition(Example{Vector{1.0, 0.0}, +1});
+  const Vector x{1.0, 0.0};
+  uda.Transition(Example{x, +1});
   EXPECT_LE(uda.Terminate().Norm(), 0.01 + 1e-12);
 }
 

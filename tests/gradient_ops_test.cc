@@ -15,7 +15,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 TEST(GradientUpdateTest, MatchesManualStep) {
   auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
   Vector w{0.5, -0.5};
-  Example e{Vector{1.0, 0.0}, +1};
+  const Vector e_x{1.0, 0.0};
+  Example e{e_x, +1};
   double eta = 0.1;
   Vector updated = GradientUpdate(*loss, e, eta, w);
   Vector expected = w - eta * loss->Gradient(w, e);
@@ -34,7 +35,8 @@ TEST(ExpansivenessTest, ConvexOperatorIsOneExpansive) {
   for (int trial = 0; trial < 200; ++trial) {
     Vector u = SampleGaussianVector(4, 2.0, &rng);
     Vector v = SampleGaussianVector(4, 2.0, &rng);
-    Example e{SampleUnitSphere(4, &rng), (trial % 2 == 0) ? +1 : -1};
+    const Vector e_x = SampleUnitSphere(4, &rng);
+    Example e{e_x, (trial % 2 == 0) ? +1 : -1};
     double before = Distance(u, v);
     double after = Distance(GradientUpdate(*loss, e, 1.0, u),
                             GradientUpdate(*loss, e, 1.0, v));
@@ -57,7 +59,8 @@ TEST(ExpansivenessTest, StronglyConvexOperatorContracts) {
   for (int trial = 0; trial < 200; ++trial) {
     Vector u = SampleGaussianVector(4, 2.0, &rng);
     Vector v = SampleGaussianVector(4, 2.0, &rng);
-    Example e{SampleUnitSphere(4, &rng), (trial % 2 == 0) ? +1 : -1};
+    const Vector e_x = SampleUnitSphere(4, &rng);
+    Example e{e_x, (trial % 2 == 0) ? +1 : -1};
     double before = Distance(u, v);
     double after = Distance(GradientUpdate(*loss, e, eta, u),
                             GradientUpdate(*loss, e, eta, v));
@@ -98,7 +101,8 @@ TEST(BoundednessTest, UpdateDisplacementWithinEtaL) {
   Rng rng(73);
   for (int trial = 0; trial < 200; ++trial) {
     Vector w = SampleGaussianVector(5, 3.0, &rng);
-    Example e{SampleUnitSphere(5, &rng), (trial % 2 == 0) ? +1 : -1};
+    const Vector e_x = SampleUnitSphere(5, &rng);
+    Example e{e_x, (trial % 2 == 0) ? +1 : -1};
     Vector updated = GradientUpdate(*loss, e, eta, w);
     EXPECT_LE(Distance(updated, w), sigma + 1e-9);
   }

@@ -27,8 +27,8 @@ class LoadersTest : public ::testing::Test {
 
 TEST_F(LoadersTest, LibsvmRoundTrip) {
   Dataset ds(3, 2);
-  ds.Add(Example{Vector{0.5, 0.0, -1.25}, +1});
-  ds.Add(Example{Vector{0.0, 2.0, 0.0}, -1});
+  ds.Add(Vector{0.5, 0.0, -1.25}, +1);
+  ds.Add(Vector{0.0, 2.0, 0.0}, -1);
   ASSERT_TRUE(SaveLibsvm(ds, path_).ok());
 
   auto loaded = LoadLibsvm(path_, 3);

@@ -54,7 +54,8 @@ TEST_P(LossPropertyTest, GradientMatchesFiniteDifference) {
   Rng rng(61);
   for (int trial = 0; trial < 20; ++trial) {
     Vector w = SampleGaussianVector(5, 0.5, &rng);
-    Example e{SampleUnitSphere(5, &rng), (trial % 2 == 0) ? +1 : -1};
+    const Vector e_x = SampleUnitSphere(5, &rng);
+    Example e{e_x, (trial % 2 == 0) ? +1 : -1};
     Vector analytic = loss->Gradient(w, e);
     Vector numeric = NumericGradient(*loss, w, e);
     for (size_t i = 0; i < w.dim(); ++i) {
@@ -71,7 +72,8 @@ TEST_P(LossPropertyTest, FirstOrderConvexity) {
   for (int trial = 0; trial < 50; ++trial) {
     Vector u = SampleGaussianVector(4, 1.0, &rng);
     Vector v = SampleGaussianVector(4, 1.0, &rng);
-    Example e{SampleUnitSphere(4, &rng), (trial % 2 == 0) ? +1 : -1};
+    const Vector e_x = SampleUnitSphere(4, &rng);
+    Example e{e_x, (trial % 2 == 0) ? +1 : -1};
     double lhs = loss->Loss(u, e);
     double rhs = loss->Loss(v, e) + Dot(loss->Gradient(v, e), u - v);
     EXPECT_GE(lhs, rhs - 1e-9) << GetParam().label;
@@ -86,7 +88,8 @@ TEST_P(LossPropertyTest, GradientIsBetaSmooth) {
   for (int trial = 0; trial < 50; ++trial) {
     Vector u = SampleGaussianVector(4, 1.0, &rng);
     Vector v = SampleGaussianVector(4, 1.0, &rng);
-    Example e{SampleUnitSphere(4, &rng), +1};
+    const Vector e_x = SampleUnitSphere(4, &rng);
+    Example e{e_x, +1};
     double grad_gap = Distance(loss->Gradient(u, e), loss->Gradient(v, e));
     EXPECT_LE(grad_gap, beta * Distance(u, v) + 1e-9) << GetParam().label;
   }
@@ -102,7 +105,8 @@ TEST_P(LossPropertyTest, GradientNormWithinLipschitzConstant) {
     if (std::isfinite(loss->radius())) {
       ProjectToL2BallInPlace(&w, loss->radius());
     }
-    Example e{SampleUnitSphere(4, &rng), (trial % 2 == 0) ? +1 : -1};
+    const Vector e_x = SampleUnitSphere(4, &rng);
+    Example e{e_x, (trial % 2 == 0) ? +1 : -1};
     EXPECT_LE(loss->Gradient(w, e).Norm(), L + 1e-9) << GetParam().label;
   }
 }
@@ -116,7 +120,8 @@ TEST_P(LossPropertyTest, StrongConvexityWhenRegularized) {
   for (int trial = 0; trial < 50; ++trial) {
     Vector u = SampleGaussianVector(4, 1.0, &rng);
     Vector v = SampleGaussianVector(4, 1.0, &rng);
-    Example e{SampleUnitSphere(4, &rng), +1};
+    const Vector e_x = SampleUnitSphere(4, &rng);
+    Example e{e_x, +1};
     double gap = Distance(u, v);
     double lhs = loss->Loss(u, e);
     double rhs = loss->Loss(v, e) + Dot(loss->Gradient(v, e), u - v) +
@@ -157,15 +162,18 @@ TEST(LogisticLossTest, PaperConstantsRegularized) {
 
 TEST(LogisticLossTest, ValueAtZeroIsLogTwo) {
   auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
-  Example e{Vector{0.5, 0.5}, +1};
+  const Vector e_x{0.5, 0.5};
+  Example e{e_x, +1};
   EXPECT_NEAR(loss->Loss(Vector(2), e), std::log(2.0), 1e-12);
 }
 
 TEST(LogisticLossTest, NumericallyStableAtExtremeMargins) {
   auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
   Vector w{1000.0};
-  Example pos{Vector{1.0}, +1};
-  Example neg{Vector{1.0}, -1};
+  const Vector pos_x{1.0};
+  Example pos{pos_x, +1};
+  const Vector neg_x{1.0};
+  Example neg{neg_x, -1};
   EXPECT_NEAR(loss->Loss(w, pos), 0.0, 1e-12);
   EXPECT_NEAR(loss->Loss(w, neg), 1000.0, 1e-9);
   EXPECT_TRUE(std::isfinite(loss->Gradient(w, neg)[0]));
@@ -181,7 +189,8 @@ TEST(HuberSvmLossTest, PaperConstants) {
 TEST(HuberSvmLossTest, ThreeRegimes) {
   auto loss = MakeHuberSvmLoss(0.1, 0.0, kInf).MoveValue();
   // z = y⟨w,x⟩ with x = (1), y = +1, so z = w₀.
-  Example e{Vector{1.0}, +1};
+  const Vector e_x{1.0};
+  Example e{e_x, +1};
   EXPECT_DOUBLE_EQ(loss->Loss(Vector{2.0}, e), 0.0);        // z > 1+h
   EXPECT_DOUBLE_EQ(loss->Loss(Vector{0.0}, e), 1.0);        // z < 1−h
   // |1−z| ≤ h: value (1+h−z)²/(4h) at z=1 is h/4.
@@ -193,7 +202,8 @@ TEST(HuberSvmLossTest, ThreeRegimes) {
 
 TEST(HuberSvmLossTest, ContinuousAtRegimeBoundaries) {
   auto loss = MakeHuberSvmLoss(0.1, 0.0, kInf).MoveValue();
-  Example e{Vector{1.0}, +1};
+  const Vector e_x{1.0};
+  Example e{e_x, +1};
   const double eps = 1e-9;
   EXPECT_NEAR(loss->Loss(Vector{1.1 - eps}, e), loss->Loss(Vector{1.1 + eps}, e),
               1e-7);
@@ -214,8 +224,8 @@ TEST(LossValidationTest, RejectsBadArguments) {
 TEST(EmpiricalRiskTest, AveragesLosses) {
   auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
   Dataset ds(1, 2);
-  ds.Add(Example{Vector{1.0}, +1});
-  ds.Add(Example{Vector{1.0}, -1});
+  ds.Add(Vector{1.0}, +1);
+  ds.Add(Vector{1.0}, -1);
   Vector w{0.0};
   EXPECT_NEAR(loss->EmpiricalRisk(w, ds), std::log(2.0), 1e-12);
   EXPECT_DOUBLE_EQ(loss->EmpiricalRisk(w, Dataset(1, 2)), 0.0);

@@ -7,10 +7,10 @@ namespace {
 
 TEST(BinaryAccuracyTest, CountsCorrectSigns) {
   Dataset test(2, 2);
-  test.Add(Example{Vector{1.0, 0.0}, +1});   // score +1 -> correct
-  test.Add(Example{Vector{-1.0, 0.0}, -1});  // score -1 -> correct
-  test.Add(Example{Vector{1.0, 0.0}, -1});   // score +1 -> wrong
-  test.Add(Example{Vector{0.0, 1.0}, +1});   // score 0 -> predicts +1, correct
+  test.Add(Vector{1.0, 0.0}, +1);   // score +1 -> correct
+  test.Add(Vector{-1.0, 0.0}, -1);  // score -1 -> correct
+  test.Add(Vector{1.0, 0.0}, -1);   // score +1 -> wrong
+  test.Add(Vector{0.0, 1.0}, +1);   // score 0 -> predicts +1, correct
   Vector model{1.0, 0.0};
   EXPECT_DOUBLE_EQ(BinaryAccuracy(model, test), 0.75);
 }
@@ -23,9 +23,9 @@ TEST(MulticlassAccuracyTest, ArgmaxScoring) {
   MulticlassModel model;
   model.weights = {Vector{1.0, 0.0}, Vector{0.0, 1.0}};
   Dataset test(2, 2);
-  test.Add(Example{Vector{1.0, 0.1}, 0});
-  test.Add(Example{Vector{0.1, 1.0}, 1});
-  test.Add(Example{Vector{1.0, 0.0}, 1});  // wrong
+  test.Add(Vector{1.0, 0.1}, 0);
+  test.Add(Vector{0.1, 1.0}, 1);
+  test.Add(Vector{1.0, 0.0}, 1);  // wrong
   EXPECT_NEAR(MulticlassAccuracy(model, test), 2.0 / 3.0, 1e-12);
 }
 
@@ -53,9 +53,9 @@ TEST(ComputeConfusionTest, MatchesAccuracy) {
   MulticlassModel model;
   model.weights = {Vector{1.0, 0.0}, Vector{0.0, 1.0}};
   Dataset test(2, 2);
-  test.Add(Example{Vector{1.0, 0.1}, 0});
-  test.Add(Example{Vector{0.1, 1.0}, 1});
-  test.Add(Example{Vector{1.0, 0.0}, 1});
+  test.Add(Vector{1.0, 0.1}, 0);
+  test.Add(Vector{0.1, 1.0}, 1);
+  test.Add(Vector{1.0, 0.0}, 1);
   ConfusionMatrix confusion = ComputeConfusion(model, test);
   EXPECT_DOUBLE_EQ(confusion.Accuracy(), MulticlassAccuracy(model, test));
   EXPECT_EQ(confusion.At(1, 0), 1u);

@@ -1,6 +1,7 @@
 #include "optim/parallel_executor.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <set>
@@ -15,6 +16,7 @@
 #include "obs/metrics.h"
 #include "optim/schedule.h"
 #include "optim/thread_pool.h"
+#include "random/permutation.h"
 #include "util/failpoint.h"
 
 namespace bolton {
@@ -99,6 +101,52 @@ TEST(ParallelExecutorTest, DeterministicAtAnyThreadCount) {
           << "model differs at max_threads=" << max_threads;
     }
   }
+}
+
+// Pins the copy-free partition to the semantics of the copying one: shard
+// j is RunPsgd over the copy data.Subset(τ_j) seeded with ShardSeed, and
+// the release is the shard-order average, bit for bit.
+TEST(ParallelExecutorTest, MatchesHandBuiltSubsetReference) {
+  Dataset data = MakeTrainingSet(103);
+  auto loss = MakeLogisticLoss(0.1, 10.0).MoveValue();
+  auto schedule = MakeInverseTimeStep(0.1, 1.1).MoveValue();
+  PsgdOptions options;
+  options.passes = 2;
+  options.batch_size = 3;
+  options.radius = 10.0;
+  options.shards = 4;
+
+  Rng rng(41);
+  auto run = RunShardedPsgd(data, *loss, *schedule, options, &rng);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  Rng reference_rng(41);
+  const std::vector<size_t> order =
+      RandomPermutation(data.size(), &reference_rng);
+  const uint64_t seed_base = reference_rng.Next();
+  PsgdOptions shard_options = options;
+  shard_options.shards = 1;
+  Vector average(data.dim());
+  size_t offset = 0;
+  for (size_t j = 0; j < options.shards; ++j) {
+    const size_t size_j = 103 / 4 + (j < 103 % 4 ? 1 : 0);
+    std::vector<size_t> indices(order.begin() + offset,
+                                order.begin() + offset + size_j);
+    offset += size_j;
+    Rng shard_rng(ShardSeed(seed_base, j));
+    auto shard = RunPsgd(data.Subset(indices), *loss, *schedule,
+                         shard_options, &shard_rng);
+    ASSERT_TRUE(shard.ok());
+    average += shard.value().model;
+  }
+  average *= 1.0 / static_cast<double>(options.shards);
+
+  ASSERT_EQ(run.value().model.dim(), average.dim());
+  EXPECT_EQ(std::memcmp(run.value().model.data(), average.data(),
+                        average.dim() * sizeof(double)),
+            0);
+  // The caller's rng is consumed identically too.
+  EXPECT_EQ(rng.Next(), reference_rng.Next());
 }
 
 TEST(ParallelExecutorTest, BalancedPartitionAndSummedStats) {

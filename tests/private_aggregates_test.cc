@@ -77,8 +77,8 @@ TEST(PrivateFeatureMeanTest, Validation) {
 TEST(PrivateFeatureMeanTest, RejectsOutOfRangeFeatures) {
   // Features outside [-1, 1] invalidate the 2/m sensitivity calibration.
   Dataset data(2, 2);
-  data.Add(Example{Vector{5.0, 0.0}, +1});
-  data.Add(Example{Vector{1.0, 0.5}, -1});
+  data.Add(Vector{5.0, 0.0}, +1);
+  data.Add(Vector{1.0, 0.5}, -1);
   auto table = MakeTable(data, StorageMode::kMemory).MoveValue();
   Rng rng(5);
   EXPECT_EQ(

@@ -149,7 +149,7 @@ TEST(PrivateTuningTest, Validation) {
           .ok());
   // Too little data for the grid size.
   Dataset tiny(8, 2);
-  tiny.Add(Example{Vector(8), +1});
+  tiny.Add(Vector(8), +1);
   auto big_grid = MakeTuningGrid({1, 2}, {1}, {1e-4});
   EXPECT_FALSE(PrivatelyTunedSgd(tiny, big_grid, PrivacyParams{1.0, 0.0},
                                  train, &rng)

@@ -90,7 +90,7 @@ TEST(RandomProjectionTest, NeighboringDatasetsStayNeighboring) {
   ASSERT_TRUE(base.ok());
   Dataset neighbor = base.value();
   Rng rng(9);
-  neighbor.Replace(7, Example{SampleUnitSphere(40, &rng), -1});
+  neighbor.Replace(7, SampleUnitSphere(40, &rng), -1);
 
   auto projection = GaussianRandomProjection::Create(40, 8, 10);
   ASSERT_TRUE(projection.ok());

@@ -1,13 +1,17 @@
 #include "optim/psgd.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
 #include "ml/metrics.h"
 #include "optim/schedule.h"
+#include "random/permutation.h"
 
 namespace bolton {
 namespace {
@@ -256,6 +260,101 @@ TEST(PsgdTest, ValidationErrors) {
   options = PsgdOptions{};
   options.radius = 0.0;
   EXPECT_FALSE(RunPsgd(data, *loss, *schedule, options, &rng).ok());
+}
+
+// Algorithm 1's loop written out with the same kernel calls in the same
+// order as RunPsgd, but with no row-access policy and no prefetch: the
+// model RunPsgd must reproduce bit for bit.
+Vector ReferencePsgd(const Dataset& data, const LossFunction& loss,
+                     const StepSizeSchedule& schedule,
+                     const PsgdOptions& options, Rng* rng) {
+  const size_t m = data.size();
+  Vector w(data.dim());
+  Vector grad(data.dim());
+  std::vector<size_t> order = RandomPermutation(m, rng);
+  size_t step = 0;
+  for (size_t pass = 1; pass <= options.passes; ++pass) {
+    if (pass > 1 && options.fresh_permutation_each_pass) {
+      order = RandomPermutation(m, rng);
+    }
+    for (size_t begin = 0; begin < m; begin += options.batch_size) {
+      const size_t len = std::min(options.batch_size, m - begin);
+      const double scale = 1.0 / static_cast<double>(len);
+      for (size_t j = 0; j < len; ++j) {
+        loss.AddGradient(w, data[order.at(begin + j)], scale, &grad);
+      }
+      w.Axpy(-schedule.StepSize(++step), grad);
+      if (std::isfinite(options.radius)) {
+        ProjectToL2BallInPlace(&w, options.radius);
+      }
+      grad.SetZero();
+    }
+  }
+  return w;
+}
+
+bool BitIdentical(const Vector& a, const Vector& b) {
+  return a.dim() == b.dim() &&
+         std::memcmp(a.data(), b.data(), a.dim() * sizeof(double)) == 0;
+}
+
+// The loop prefetches the row a fixed distance ahead in the permutation.
+// Near the end of `order` — fewer rows than that distance, a single row, a
+// partial last batch — it must neither read past `order` (bounds-checked
+// builds abort on that) nor change a single bit of the model.
+TEST(PsgdTest, PrefetchNearEndOfOrderKeepsModelBitIdentical) {
+  struct Case {
+    size_t m, b, passes;
+    bool fresh;
+  };
+  for (const Case& c : {Case{1, 1, 2, false}, Case{3, 1, 2, true},
+                        Case{7, 1, 3, false}, Case{7, 3, 2, true},
+                        Case{9, 4, 2, false}, Case{40, 6, 2, true}}) {
+    Dataset data = MakeTrainingSet(c.m, 90 + c.m);
+    auto loss = MakeLogisticLoss(0.05, 20.0).MoveValue();
+    auto schedule = MakeInverseTimeStep(0.05, 1.05).MoveValue();
+    PsgdOptions options;
+    options.passes = c.passes;
+    options.batch_size = c.b;
+    options.radius = 20.0;
+    options.fresh_permutation_each_pass = c.fresh;
+    Rng run_rng(31), reference_rng(31);
+    auto run = RunPsgd(data, *loss, *schedule, options, &run_rng);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_TRUE(BitIdentical(
+        run.value().model,
+        ReferencePsgd(data, *loss, *schedule, options, &reference_rng)))
+        << "m=" << c.m << " b=" << c.b;
+    EXPECT_EQ(run_rng.Next(), reference_rng.Next());
+  }
+}
+
+TEST(PsgdTest, RunOnRowsMatchesRunOnSubsetCopy) {
+  Dataset data = MakeTrainingSet(60);
+  auto loss = MakeLogisticLoss(0.1, 10.0).MoveValue();
+  auto schedule = MakeInverseTimeStep(0.1, 1.1).MoveValue();
+  PsgdOptions options;
+  options.passes = 2;
+  options.batch_size = 3;
+  options.radius = 10.0;
+  Rng pick_rng(5);
+  std::vector<size_t> rows = RandomPermutation(data.size(), &pick_rng);
+  rows.resize(23);
+  Rng view_rng(9), copy_rng(9);
+  auto view = RunPsgdOnRows(data, rows, *loss, *schedule, options, &view_rng);
+  auto copy =
+      RunPsgd(data.Subset(rows), *loss, *schedule, options, &copy_rng);
+  ASSERT_TRUE(view.ok() && copy.ok());
+  EXPECT_TRUE(BitIdentical(view.value().model, copy.value().model));
+  EXPECT_EQ(view.value().stats.gradient_evaluations, 2u * 23u);
+
+  std::vector<size_t> bad = {0, data.size()};
+  EXPECT_EQ(RunPsgdOnRows(data, bad, *loss, *schedule, options, &view_rng)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_FALSE(
+      RunPsgdOnRows(data, {}, *loss, *schedule, options, &view_rng).ok());
 }
 
 }  // namespace

@@ -411,7 +411,8 @@ TEST(SimulateDeltaTest, ValidationErrors) {
   PsgdOptions options;
   EXPECT_FALSE(SimulateDeltaT(data, 99, data[0], *loss, *schedule, options, 1)
                    .ok());
-  Example wrong_dim{Vector(3), +1};
+  const Vector wrong_dim_x = Vector(3);
+  Example wrong_dim{wrong_dim_x, +1};
   EXPECT_FALSE(
       SimulateDeltaT(data, 0, wrong_dim, *loss, *schedule, options, 1).ok());
 }

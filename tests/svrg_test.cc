@@ -119,7 +119,7 @@ TEST(SvrgTest, EmpiricalSensitivityIsMeasurable) {
   // Flip only the label: for the logistic loss, flipping both x and y is
   // gradient-identical (the loss depends on (x, y) through y⟨w, x⟩ alone).
   replacement.label = -replacement.label;
-  neighbor.Replace(7, replacement);
+  neighbor.Replace(7, replacement.x, replacement.label);
 
   auto loss = MakeLogisticLoss(0.0, kInf).MoveValue();
   SvrgOptions options;

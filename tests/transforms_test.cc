@@ -12,9 +12,9 @@ namespace {
 Dataset MakeRaw() {
   // Feature 0 spans hundreds, feature 1 is tiny, feature 2 is constant.
   Dataset ds(3, 2);
-  ds.Add(Example{Vector{100.0, 0.01, 5.0}, +1});
-  ds.Add(Example{Vector{300.0, 0.03, 5.0}, -1});
-  ds.Add(Example{Vector{200.0, 0.02, 5.0}, +1});
+  ds.Add(Vector{100.0, 0.01, 5.0}, +1);
+  ds.Add(Vector{300.0, 0.03, 5.0}, -1);
+  ds.Add(Vector{200.0, 0.02, 5.0}, +1);
   return ds;
 }
 
@@ -65,7 +65,7 @@ TEST(StandardizerTest, Validation) {
   EXPECT_FALSE(Standardizer::Fit(Dataset(3, 2)).ok());
   auto standardizer = Standardizer::Fit(MakeRaw()).MoveValue();
   Dataset wrong_dim(2, 2);
-  wrong_dim.Add(Example{Vector{1.0, 2.0}, +1});
+  wrong_dim.Add(Vector{1.0, 2.0}, +1);
   EXPECT_FALSE(standardizer.Apply(wrong_dim).ok());
 }
 
@@ -91,10 +91,10 @@ TEST(StratifiedSplitTest, PreservesClassRatios) {
   // An imbalanced binary set: 90 positives, 10 negatives.
   Dataset ds(1, 2);
   for (int i = 0; i < 90; ++i) {
-    ds.Add(Example{Vector{static_cast<double>(i)}, +1});
+    ds.Add(Vector{static_cast<double>(i)}, +1);
   }
   for (int i = 0; i < 10; ++i) {
-    ds.Add(Example{Vector{static_cast<double>(-i)}, -1});
+    ds.Add(Vector{static_cast<double>(-i)}, -1);
   }
   Rng rng(1);
   auto split = StratifiedSplit(ds, 0.2, &rng);
@@ -110,7 +110,7 @@ TEST(StratifiedSplitTest, PreservesClassRatios) {
 
 TEST(StratifiedSplitTest, Validation) {
   Dataset ds(1, 2);
-  ds.Add(Example{Vector{1.0}, +1});
+  ds.Add(Vector{1.0}, +1);
   Rng rng(2);
   EXPECT_FALSE(StratifiedSplit(Dataset(1, 2), 0.2, &rng).ok());
   EXPECT_FALSE(StratifiedSplit(ds, 0.0, &rng).ok());
@@ -120,10 +120,10 @@ TEST(StratifiedSplitTest, Validation) {
 TEST(DownsampleMajorityTest, CapsImbalance) {
   Dataset ds(1, 2);
   for (int i = 0; i < 100; ++i) {
-    ds.Add(Example{Vector{static_cast<double>(i)}, +1});
+    ds.Add(Vector{static_cast<double>(i)}, +1);
   }
   for (int i = 0; i < 10; ++i) {
-    ds.Add(Example{Vector{static_cast<double>(-i)}, -1});
+    ds.Add(Vector{static_cast<double>(-i)}, -1);
   }
   Rng rng(3);
   auto balanced = DownsampleMajority(ds, 2.0, &rng);
@@ -136,7 +136,7 @@ TEST(DownsampleMajorityTest, CapsImbalance) {
 TEST(DownsampleMajorityTest, AlreadyBalancedUnchangedInSize) {
   Dataset ds(1, 2);
   for (int i = 0; i < 10; ++i) {
-    ds.Add(Example{Vector{static_cast<double>(i)}, i % 2 == 0 ? +1 : -1});
+    ds.Add(Vector{static_cast<double>(i)}, i % 2 == 0 ? +1 : -1);
   }
   Rng rng(4);
   auto balanced = DownsampleMajority(ds, 2.0, &rng);
@@ -146,7 +146,7 @@ TEST(DownsampleMajorityTest, AlreadyBalancedUnchangedInSize) {
 
 TEST(DownsampleMajorityTest, Validation) {
   Dataset ds(1, 2);
-  ds.Add(Example{Vector{1.0}, +1});
+  ds.Add(Vector{1.0}, +1);
   Rng rng(5);
   EXPECT_FALSE(DownsampleMajority(ds, 0.5, &rng).ok());
   EXPECT_FALSE(DownsampleMajority(ds, 2.0, &rng).ok());  // one class only

@@ -19,10 +19,13 @@ BUILD="${1:-$ROOT/build-asan}"
 TSAN_BUILD="${2:-$ROOT/build-tsan}"
 PRIMARY_BUILD="${3:-$ROOT/build}"
 
-echo "== configure (Debug, -fsanitize=address,undefined) =="
+# -D_GLIBCXX_ASSERTIONS bounds-checks std::vector/std::span indexing: ASan
+# cannot see a wrong-row read that stays inside one feature block, but an
+# out-of-range index into a permutation or shard index list trips here.
+echo "== configure (Debug, -fsanitize=address,undefined, -D_GLIBCXX_ASSERTIONS) =="
 cmake -S "$ROOT" -B "$BUILD" \
   -DCMAKE_BUILD_TYPE=Debug \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
   > "$BUILD.configure.log" 2>&1 || { cat "$BUILD.configure.log"; exit 1; }
 
