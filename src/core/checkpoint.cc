@@ -4,16 +4,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <limits>
-#include <memory>
 #include <utility>
 
 #include "core/private_sgd.h"
-#include "optim/schedule.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -46,21 +41,7 @@ uint64_t MixDouble(uint64_t h, double d) {
 }
 
 uint64_t MixString(uint64_t h, const std::string& s) {
-  uint64_t fnv = 14695981039346656037ull;
-  for (unsigned char c : s) {
-    fnv ^= c;
-    fnv *= 1099511628211ull;
-  }
-  return MixWord(MixWord(h, s.size()), fnv);
-}
-
-uint64_t Fnv1a(const char* data, size_t size) {
-  uint64_t h = 14695981039346656037ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return MixWord(MixWord(h, s.size()), Fnv1a(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -77,31 +58,6 @@ void AppendDouble(std::string* out, double v) {
   *out += StrFormat(" %.17g", v);
 }
 
-/// Labels/kinds are dotted identifiers; "-" stands for the empty string
-/// and embedded whitespace (never produced in practice) is made safe.
-std::string EncodeToken(const std::string& s) {
-  if (s.empty()) return "-";
-  std::string out = s;
-  for (char& c : out) {
-    if (c == ' ' || c == '\t' || c == '\n') c = '_';
-  }
-  return out;
-}
-
-std::string DecodeToken(const std::string& s) { return s == "-" ? "" : s; }
-
-Result<uint64_t> ParseU64(const std::string& text) {
-  if (text.empty()) return Status::InvalidArgument("empty integer field");
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0' || text[0] == '-') {
-    return Status::InvalidArgument(
-        StrFormat("bad unsigned integer '%s'", text.c_str()));
-  }
-  return static_cast<uint64_t>(v);
-}
-
 void AppendRngState(std::string* out, const RngState& state) {
   for (uint64_t word : state.words) AppendU64(out, word);
   AppendU64(out, state.has_cached_gaussian ? 1 : 0);
@@ -115,9 +71,9 @@ Status ParseRngState(const std::vector<std::string>& tokens, size_t* pos,
     return Status::InvalidArgument("truncated rng state");
   }
   for (uint64_t& word : state->words) {
-    BOLTON_ASSIGN_OR_RETURN(word, ParseU64(tokens[(*pos)++]));
+    BOLTON_ASSIGN_OR_RETURN(word, ParseUint64(tokens[(*pos)++]));
   }
-  BOLTON_ASSIGN_OR_RETURN(uint64_t cached, ParseU64(tokens[(*pos)++]));
+  BOLTON_ASSIGN_OR_RETURN(uint64_t cached, ParseUint64(tokens[(*pos)++]));
   state->has_cached_gaussian = cached != 0;
   BOLTON_ASSIGN_OR_RETURN(state->cached_gaussian,
                           ParseDouble(tokens[(*pos)++]));
@@ -133,7 +89,7 @@ void AppendVector(std::string* out, const char* key, const Vector& v) {
 
 Result<Vector> ParseVectorLine(const std::vector<std::string>& tokens) {
   if (tokens.size() < 2) return Status::InvalidArgument("bad vector line");
-  BOLTON_ASSIGN_OR_RETURN(uint64_t dim, ParseU64(tokens[1]));
+  BOLTON_ASSIGN_OR_RETURN(uint64_t dim, ParseUint64(tokens[1]));
   if (tokens.size() != dim + 2) {
     return Status::InvalidArgument(
         StrFormat("vector line declares %llu values but carries %zu",
@@ -198,31 +154,17 @@ std::string RenderCheckpoint(const CheckpointData& data) {
     AppendU64(&out, event.accepted ? 1 : 0);
     out += "\n";
   }
-  out += StrFormat("checksum %016llx\n",
-                   static_cast<unsigned long long>(
-                       Fnv1a(out.data(), out.size())));
+  AppendChecksumTrailer(&out);
   return out;
 }
 
 Result<CheckpointData> ParseCheckpoint(const std::string& content,
                                        const std::string& path) {
-  const size_t checksum_at = content.rfind("\nchecksum ");
-  if (checksum_at == std::string::npos) {
-    return Status::InvalidArgument(path + ": missing checksum line");
-  }
-  const size_t body_size = checksum_at + 1;  // include the preceding '\n'
-  const std::string checksum_line(
-      StripWhitespace(content.substr(body_size)));
-  const std::string expected =
-      StrFormat("checksum %016llx", static_cast<unsigned long long>(
-                                        Fnv1a(content.data(), body_size)));
-  if (checksum_line != expected) {
-    return Status::IOError(
-        path + ": checksum mismatch (corrupt or truncated checkpoint)");
-  }
-
-  std::vector<std::string> lines =
-      StrSplit(content.substr(0, checksum_at), '\n');
+  Result<std::string_view> verified = VerifyChecksumTrailer(content);
+  if (!verified.ok()) return verified.status().WithContext(path);
+  std::string_view body = verified.value();
+  body.remove_suffix(1);  // the '\n' ending the last line
+  std::vector<std::string> lines = StrSplit(body, '\n');
   // Expected line order (see RenderCheckpoint): magic, privacy marker,
   // spec_hash, algorithm, cursor, stats, sensitivity, rng, outer_rng, w,
   // iterate_sum, order, ledger count, events.
@@ -250,7 +192,7 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content,
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(2, "spec_hash"));
     if (tokens.size() != 2) return Status::InvalidArgument("bad spec_hash");
-    BOLTON_ASSIGN_OR_RETURN(data.spec_hash, ParseU64(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(data.spec_hash, ParseUint64(tokens[1]));
   }
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(3, "algorithm"));
@@ -260,17 +202,17 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content,
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(4, "cursor"));
     if (tokens.size() != 3) return Status::InvalidArgument("bad cursor");
-    BOLTON_ASSIGN_OR_RETURN(uint64_t passes, ParseU64(tokens[1]));
-    BOLTON_ASSIGN_OR_RETURN(uint64_t step, ParseU64(tokens[2]));
+    BOLTON_ASSIGN_OR_RETURN(uint64_t passes, ParseUint64(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(uint64_t step, ParseUint64(tokens[2]));
     data.state.completed_passes = passes;
     data.state.step = step;
   }
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(5, "stats"));
     if (tokens.size() != 4) return Status::InvalidArgument("bad stats");
-    BOLTON_ASSIGN_OR_RETURN(uint64_t ge, ParseU64(tokens[1]));
-    BOLTON_ASSIGN_OR_RETURN(uint64_t updates, ParseU64(tokens[2]));
-    BOLTON_ASSIGN_OR_RETURN(uint64_t noise, ParseU64(tokens[3]));
+    BOLTON_ASSIGN_OR_RETURN(uint64_t ge, ParseUint64(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(uint64_t updates, ParseUint64(tokens[2]));
+    BOLTON_ASSIGN_OR_RETURN(uint64_t noise, ParseUint64(tokens[3]));
     data.state.stats.gradient_evaluations = ge;
     data.state.stats.updates = updates;
     data.state.stats.noise_samples = noise;
@@ -289,7 +231,7 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content,
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(8, "outer_rng"));
     if (tokens.size() < 2) return Status::InvalidArgument("bad outer_rng");
-    BOLTON_ASSIGN_OR_RETURN(uint64_t has, ParseU64(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(uint64_t has, ParseUint64(tokens[1]));
     data.has_outer_rng = has != 0;
     size_t pos = 2;
     if (data.has_outer_rng) {
@@ -310,13 +252,13 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content,
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(11, "order"));
     if (tokens.size() < 2) return Status::InvalidArgument("bad order line");
-    BOLTON_ASSIGN_OR_RETURN(uint64_t count, ParseU64(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(uint64_t count, ParseUint64(tokens[1]));
     if (tokens.size() != count + 2) {
       return Status::InvalidArgument("order line length mismatch");
     }
     data.state.order.resize(count);
     for (size_t i = 0; i < count; ++i) {
-      BOLTON_ASSIGN_OR_RETURN(uint64_t index, ParseU64(tokens[i + 2]));
+      BOLTON_ASSIGN_OR_RETURN(uint64_t index, ParseUint64(tokens[i + 2]));
       data.state.order[i] = index;
     }
   }
@@ -324,7 +266,7 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content,
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, tokens_for(12, "ledger"));
     if (tokens.size() != 2) return Status::InvalidArgument("bad ledger line");
-    BOLTON_ASSIGN_OR_RETURN(ledger_count, ParseU64(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(ledger_count, ParseUint64(tokens[1]));
   }
   if (lines.size() < 13 + ledger_count) {
     return Status::InvalidArgument("truncated ledger events");
@@ -342,8 +284,8 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content,
     const bool has_tenant = tokens.size() == 17;
     size_t t = 1;
     obs::LedgerEvent event;
-    BOLTON_ASSIGN_OR_RETURN(event.seq, ParseU64(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.time_ns, ParseU64(tokens[t++]));
+    BOLTON_ASSIGN_OR_RETURN(event.seq, ParseUint64(tokens[t++]));
+    BOLTON_ASSIGN_OR_RETURN(event.time_ns, ParseUint64(tokens[t++]));
     event.kind = DecodeToken(tokens[t++]);
     event.mechanism = DecodeToken(tokens[t++]);
     event.label = DecodeToken(tokens[t++]);
@@ -353,11 +295,11 @@ Result<CheckpointData> ParseCheckpoint(const std::string& content,
     BOLTON_ASSIGN_OR_RETURN(event.sensitivity, ParseDouble(tokens[t++]));
     BOLTON_ASSIGN_OR_RETURN(event.noise_scale, ParseDouble(tokens[t++]));
     BOLTON_ASSIGN_OR_RETURN(event.noise_norm, ParseDouble(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.dim, ParseU64(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.step, ParseU64(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.shards, ParseU64(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(event.rng_fingerprint, ParseU64(tokens[t++]));
-    BOLTON_ASSIGN_OR_RETURN(uint64_t accepted, ParseU64(tokens[t++]));
+    BOLTON_ASSIGN_OR_RETURN(event.dim, ParseUint64(tokens[t++]));
+    BOLTON_ASSIGN_OR_RETURN(event.step, ParseUint64(tokens[t++]));
+    BOLTON_ASSIGN_OR_RETURN(event.shards, ParseUint64(tokens[t++]));
+    BOLTON_ASSIGN_OR_RETURN(event.rng_fingerprint, ParseUint64(tokens[t++]));
+    BOLTON_ASSIGN_OR_RETURN(uint64_t accepted, ParseUint64(tokens[t++]));
     event.accepted = accepted != 0;
     data.ledger.push_back(std::move(event));
   }
@@ -406,11 +348,7 @@ Status CheckpointManager::Save(const CheckpointData& data) const {
 
 Result<CheckpointData> CheckpointManager::Load() const {
   BOLTON_FAILPOINT("checkpoint.load");
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return ErrnoIOError("cannot open checkpoint", path_);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  if (in.bad()) return ErrnoIOError("read failed for", path_);
+  BOLTON_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path_));
   return ParseCheckpoint(content, path_);
 }
 
@@ -429,20 +367,11 @@ Result<SolverOutput> RunSolverWithCheckpoints(
     Algorithm algorithm, const Dataset& data, const LossFunction& loss,
     const SolverSpec& spec, Rng* rng, const CheckpointOptions& checkpoint) {
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
-  if (data.empty()) return Status::InvalidArgument("empty training set");
   if (checkpoint.dir.empty()) {
     return Status::InvalidArgument("checkpoint dir must not be empty");
   }
   if (checkpoint.every_passes < 1) {
     return Status::InvalidArgument("checkpoint every_passes must be >= 1");
-  }
-  const bool bolton = algorithm == Algorithm::kBoltOn;
-  if (algorithm != Algorithm::kNoiseless && !bolton) {
-    return Status::InvalidArgument(StrFormat(
-        "checkpoint/resume is defined for the black-box algorithms "
-        "(noiseless, ours); '%s' perturbs inside the update loop and has "
-        "no sound mid-run release point",
-        AlgorithmName(algorithm)));
   }
   if (spec.shards != 1) {
     return Status::InvalidArgument(StrFormat(
@@ -450,20 +379,13 @@ Result<SolverOutput> RunSolverWithCheckpoints(
         "got %zu)",
         spec.shards));
   }
-  if (bolton) {
-    BOLTON_RETURN_IF_ERROR(spec.privacy.Validate());
-    if (loss.IsStronglyConvex() && !std::isfinite(loss.radius())) {
-      return Status::FailedPrecondition(
-          "Algorithm 2 runs constrained optimization; the loss must carry "
-          "a finite radius (the paper uses R = 1/lambda)");
-    }
-  }
-
+  const bool bolton = algorithm == Algorithm::kBoltOn;
   const uint64_t spec_hash = SolverSpecHash(algorithm, spec, loss, data);
   CheckpointManager manager(checkpoint.dir);
 
   CheckpointData loaded;
-  bool resuming = false;
+  BlackBoxCheckpoint hooks;
+  hooks.plan.every_passes = checkpoint.every_passes;
   if (checkpoint.resume) {
     BOLTON_ASSIGN_OR_RETURN(loaded, manager.Load());
     if (loaded.spec_hash != spec_hash) {
@@ -480,54 +402,6 @@ Result<SolverOutput> RunSolverWithCheckpoints(
           manager.path() +
           " carries no perturbation rng state; cannot resume a bolt-on run");
     }
-    resuming = true;
-  }
-
-  // Step-size schedule and (for bolt-on) the sensitivity calibration,
-  // mirroring RunPrivateSolver's Table 4 conventions exactly.
-  std::unique_ptr<StepSizeSchedule> schedule;
-  double sensitivity = 0.0;
-  if (!bolton) {
-    if (loss.IsStronglyConvex()) {
-      BOLTON_ASSIGN_OR_RETURN(
-          schedule,
-          MakeInverseTimeStep(loss.strong_convexity(),
-                              std::numeric_limits<double>::infinity()));
-    } else {
-      BOLTON_ASSIGN_OR_RETURN(
-          schedule, MakeConstantStep(
-                        1.0 / std::sqrt(static_cast<double>(data.size()))));
-    }
-  } else {
-    double eta = 0.0;
-    if (loss.IsStronglyConvex()) {
-      BOLTON_ASSIGN_OR_RETURN(
-          schedule,
-          MakeInverseTimeStep(loss.strong_convexity(), loss.smoothness()));
-    } else {
-      eta = spec.constant_step > 0.0
-                ? spec.constant_step
-                : 1.0 / std::sqrt(static_cast<double>(data.size()));
-      BOLTON_ASSIGN_OR_RETURN(schedule, MakeConstantStep(eta));
-    }
-    if (resuming) {
-      // The original run calibrated (and ledger-recorded) this Δ₂; reuse it
-      // rather than re-recording a duplicate calibration event.
-      sensitivity = loaded.sensitivity;
-    } else {
-      SensitivitySetup setup;
-      setup.passes = spec.passes;
-      setup.batch_size = spec.batch_size;
-      setup.num_examples = data.size();
-      BOLTON_ASSIGN_OR_RETURN(
-          sensitivity,
-          BoltOnSensitivity(loss, eta, setup, /*shards=*/1,
-                            spec.use_corrected_minibatch_sensitivity,
-                            spec.privacy));
-    }
-  }
-
-  if (resuming) {
     BOLTON_LOG(kInfo) << "resuming from checkpoint " << manager.path()
                       << " at pass " << loaded.state.completed_passes << "/"
                       << spec.passes;
@@ -544,31 +418,16 @@ Result<SolverOutput> RunSolverWithCheckpoints(
     // uninterrupted run would have used (post-Split, untouched during
     // training).
     if (bolton) rng->RestoreState(loaded.outer_rng);
+    hooks.plan.resume = &loaded.state;
+    hooks.sensitivity = loaded.sensitivity;
   }
 
-  // The PSGD rng: bolt-on splits the caller stream exactly as PrivatePsgd
-  // does; noiseless consumes the caller stream directly, matching the
-  // shards == 1 delegation in RunShardedPsgd.
-  Rng psgd_rng_storage(0);
-  Rng* psgd_rng = rng;
-  if (bolton) {
-    if (!resuming) psgd_rng_storage = rng->Split();
-    // On resume the storage state is irrelevant: RunPsgd restores it from
-    // the checkpointed PsgdResumeState before consuming anything.
-    psgd_rng = &psgd_rng_storage;
-  }
-
-  PsgdOptions options;
-  options.run() = spec.run();
-  options.radius = loss.radius();
-  options.sampling = SamplingMode::kPermutation;
-
-  auto sink = [&](const PsgdResumeState& state) -> Status {
+  hooks.plan.sink = [&](const PsgdResumeState& state) -> Status {
     CheckpointData out;
     out.spec_hash = spec_hash;
     out.algorithm = AlgorithmName(algorithm);
     out.state = state;
-    out.sensitivity = sensitivity;
+    out.sensitivity = hooks.sensitivity;
     if (bolton) {
       out.has_outer_rng = true;
       out.outer_rng = rng->SaveState();
@@ -591,29 +450,9 @@ Result<SolverOutput> RunSolverWithCheckpoints(
     return saved;
   };
 
-  PsgdCheckpointPlan plan;
-  plan.every_passes = checkpoint.every_passes;
-  plan.sink = sink;
-  if (resuming) plan.resume = &loaded.state;
-
   BOLTON_ASSIGN_OR_RETURN(
-      PsgdOutput run, RunPsgd(data, loss, *schedule, options, psgd_rng,
-                              /*noise=*/nullptr, /*pass_callback=*/nullptr,
-                              &plan));
-
-  SolverOutput out;
-  if (bolton) {
-    BOLTON_ASSIGN_OR_RETURN(
-        PrivateSgdOutput priv,
-        BoltOnPerturb(run.model, sensitivity, spec.privacy, rng));
-    out.model = std::move(priv.model);
-    out.sensitivity = sensitivity;
-  } else {
-    out.model = std::move(run.model);
-  }
-  out.stats = run.stats;
-  out.shards = 1;
-
+      SolverOutput out,
+      RunPrivateSolver(algorithm, data, loss, spec, rng, &hooks));
   Status removed = manager.Remove();
   if (!removed.ok()) {
     BOLTON_LOG(kWarning) << "run succeeded but checkpoint cleanup failed ("

@@ -1,12 +1,15 @@
 #ifndef BOLTON_CORE_PRIVATE_SGD_H_
 #define BOLTON_CORE_PRIVATE_SGD_H_
 
+#include <memory>
+
 #include "core/privacy.h"
 #include "core/sensitivity.h"
 #include "data/dataset.h"
 #include "linalg/vector.h"
 #include "optim/loss.h"
 #include "optim/psgd.h"
+#include "optim/schedule.h"
 #include "random/dp_noise.h"
 #include "random/rng.h"
 #include "util/result.h"
@@ -70,6 +73,56 @@ Result<double> BoltOnSensitivity(const LossFunction& loss, double eta,
                                  bool use_corrected_minibatch,
                                  const PrivacyParams& privacy);
 
+/// The black-box front end of one run (§4.2): everything that runs the
+/// unchanged PSGD box (PrivatePsgd, RunPrivateSolver's noiseless and
+/// bolt-on cases, RunSolverWithCheckpoints, the engine driver) takes its
+/// step sizes and PsgdOptions from here.
+struct BlackBoxPlan {
+  /// Table 4: bolt-on strongly convex min(1/β, 1/(γt)); noiseless strongly
+  /// convex 1/(γt) with no 1/β cap; convex the constant η below.
+  std::unique_ptr<StepSizeSchedule> schedule;
+  /// The convex constant step, which Corollary 1's Δ₂ = 2kLη/b reads:
+  /// options.constant_step for bolt-on when > 0, else 1/√m. 0 when the
+  /// loss is strongly convex.
+  double eta = 0.0;
+  /// The run spec with loss.radius() and permutation sampling.
+  PsgdOptions psgd;
+};
+
+/// Checks a black-box run's preconditions and builds its plan. Every run
+/// needs m > 0; a private (bolt-on) run also needs options.privacy to
+/// validate and, under Algorithm 2, a finite radius R. A noiseless run
+/// ignores options.privacy and options.constant_step.
+Result<BlackBoxPlan> PlanBlackBox(const LossFunction& loss,
+                                  size_t num_examples,
+                                  const BoltOnOptions& options,
+                                  bool private_run);
+
+/// What RunSolverWithCheckpoints threads into RunBlackBox: the serial box
+/// runs under `plan` (pass-boundary sink, resume state).
+struct BlackBoxCheckpoint {
+  PsgdCheckpointPlan plan;
+  /// Δ₂ of a private run. On resume (plan.resume set) the caller stores
+  /// the interrupted run's calibration here, and it is reused without a
+  /// second calibration event; a fresh run writes its calibration here
+  /// before the box starts, so the sink can persist it.
+  double sensitivity = 0.0;
+};
+
+/// The one black-box solve. A private run calibrates Δ₂ (BoltOnSensitivity),
+/// then splits the caller's rng for the box, runs it, and draws one output
+/// perturbation from the caller's rng (BoltOnPerturb). A noiseless run
+/// drives the box with the caller's rng directly and releases the box's
+/// model. `checkpoint` runs the serial box (RunPsgd) under its plan instead
+/// of RunShardedPsgd; on resume the caller has already restored `rng` to
+/// the interrupted run's post-split state, and the box's own stream comes
+/// from the checkpoint.
+Result<PrivateSgdOutput> RunBlackBox(const Dataset& data,
+                                     const LossFunction& loss,
+                                     const BoltOnOptions& options,
+                                     bool private_run, Rng* rng,
+                                     BlackBoxCheckpoint* checkpoint = nullptr);
+
 /// Algorithm 1 — Private Convex Permutation-based SGD.
 ///
 /// Requires a convex, non-strongly-convex loss (γ = 0) and η ≤ 2/β. Runs
@@ -94,8 +147,8 @@ Result<PrivateSgdOutput> PrivateStronglyConvexPsgd(const Dataset& data,
                                                    const BoltOnOptions& options,
                                                    Rng* rng);
 
-/// Dispatches on loss.IsStronglyConvex(): Algorithm 2 when γ > 0, else
-/// Algorithm 1. The convenience entry point used by examples and benches.
+/// Algorithm 2 when γ > 0, else Algorithm 1: RunBlackBox as a private run.
+/// The convenience entry point used by examples and benches.
 Result<PrivateSgdOutput> PrivatePsgd(const Dataset& data,
                                      const LossFunction& loss,
                                      const BoltOnOptions& options, Rng* rng);

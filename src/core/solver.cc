@@ -1,7 +1,5 @@
 #include "core/solver.h"
 
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/bst14.h"
@@ -10,15 +8,11 @@
 #include "core/scs13.h"
 #include "obs/perf_counters.h"
 #include "obs/trace.h"
-#include "optim/parallel_executor.h"
-#include "optim/schedule.h"
 #include "util/strings.h"
 
 namespace bolton {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// One row per algorithm; AlgorithmName / ParseAlgorithm / the error
 /// message all read this table, so adding an algorithm cannot leave one of
@@ -51,31 +45,6 @@ Status RejectShards(Algorithm algorithm, size_t shards) {
       AlgorithmName(algorithm), shards));
 }
 
-Result<SolverOutput> RunNoiseless(const Dataset& data,
-                                  const LossFunction& loss,
-                                  const SolverSpec& spec, Rng* rng) {
-  std::unique_ptr<StepSizeSchedule> schedule;
-  if (loss.IsStronglyConvex()) {
-    // Table 4: noiseless strongly convex uses 1/(γt), no 1/β cap.
-    BOLTON_ASSIGN_OR_RETURN(
-        schedule, MakeInverseTimeStep(loss.strong_convexity(), kInf));
-  } else {
-    BOLTON_ASSIGN_OR_RETURN(
-        schedule,
-        MakeConstantStep(1.0 / std::sqrt(static_cast<double>(data.size()))));
-  }
-  PsgdOptions options;
-  options.run() = spec.run();
-  options.radius = loss.radius();
-  BOLTON_ASSIGN_OR_RETURN(ShardedPsgdOutput run,
-                          RunShardedPsgd(data, loss, *schedule, options, rng));
-  SolverOutput out;
-  out.model = std::move(run.model);
-  out.stats = run.stats;
-  out.shards = run.shards;
-  return out;
-}
-
 }  // namespace
 
 const char* AlgorithmName(Algorithm algorithm) {
@@ -98,6 +67,23 @@ Result<Algorithm> ParseAlgorithm(const std::string& name) {
 Result<SolverOutput> RunPrivateSolver(Algorithm algorithm, const Dataset& data,
                                       const LossFunction& loss,
                                       const SolverSpec& spec, Rng* rng) {
+  return RunPrivateSolver(algorithm, data, loss, spec, rng,
+                          /*checkpoint=*/nullptr);
+}
+
+Result<SolverOutput> RunPrivateSolver(Algorithm algorithm, const Dataset& data,
+                                      const LossFunction& loss,
+                                      const SolverSpec& spec, Rng* rng,
+                                      BlackBoxCheckpoint* checkpoint) {
+  const bool black_box =
+      algorithm == Algorithm::kNoiseless || algorithm == Algorithm::kBoltOn;
+  if (checkpoint != nullptr && !black_box) {
+    return Status::InvalidArgument(StrFormat(
+        "checkpoint/resume is defined for the black-box algorithms "
+        "(noiseless, ours); '%s' perturbs inside the update loop and has "
+        "no sound mid-run release point",
+        AlgorithmName(algorithm)));
+  }
   if (data.empty()) return Status::InvalidArgument("empty training set");
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
 
@@ -109,17 +95,11 @@ Result<SolverOutput> RunPrivateSolver(Algorithm algorithm, const Dataset& data,
 
   switch (algorithm) {
     case Algorithm::kNoiseless:
-      return RunNoiseless(data, loss, spec, rng);
-
     case Algorithm::kBoltOn: {
-      BoltOnOptions options;
-      options.run() = spec.run();
-      options.privacy = spec.privacy;
-      options.constant_step = spec.constant_step;
-      options.use_corrected_minibatch_sensitivity =
-          spec.use_corrected_minibatch_sensitivity;
-      BOLTON_ASSIGN_OR_RETURN(PrivateSgdOutput run,
-                              PrivatePsgd(data, loss, options, rng));
+      BOLTON_ASSIGN_OR_RETURN(
+          PrivateSgdOutput run,
+          RunBlackBox(data, loss, spec, algorithm == Algorithm::kBoltOn, rng,
+                      checkpoint));
       SolverOutput out;
       out.model = std::move(run.model);
       out.stats = run.stats;

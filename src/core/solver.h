@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/privacy.h"
+#include "core/private_sgd.h"
 #include "data/dataset.h"
 #include "linalg/vector.h"
 #include "optim/loss.h"
@@ -32,23 +33,14 @@ const char* AlgorithmName(Algorithm algorithm);
 /// an unknown name returns NotFound listing every valid choice.
 Result<Algorithm> ParseAlgorithm(const std::string& name);
 
-/// One private (or noiseless) training run's configuration: the shared
-/// SgdRunSpec (passes, batch size, output mode, fresh permutation, shards)
-/// with the training defaults k = 10, b = 50, plus the per-algorithm knobs.
-/// This is the single surface RunPrivateSolver dispatches on; TrainerConfig
-/// and the engine driver both convert into it rather than re-implementing
-/// the dispatch.
-struct SolverSpec : SgdRunSpec {
-  SolverSpec() : SgdRunSpec(/*passes=*/10, /*batch_size=*/50) {}
-
-  /// Ignored by kNoiseless. delta == 0 ⇒ pure ε-DP (not supported by
-  /// BST14); delta > 0 ⇒ (ε, δ)-DP.
-  PrivacyParams privacy;
-  /// Bolt-on Algorithm 1's constant step η; 0 = the paper's 1/√m default.
-  double constant_step = 0.0;
-  /// Calibrate bolt-on noise to the corrected mini-batch bound instead of
-  /// the paper's /b-scaled one (DESIGN.md §6).
-  bool use_corrected_minibatch_sensitivity = false;
+/// One private (or noiseless) training run's configuration: the bolt-on
+/// options (run spec with the training defaults k = 10, b = 50, privacy,
+/// Algorithm 1's constant step, the mini-batch calibration rule) plus the
+/// white-box baselines' knobs. kNoiseless ignores `privacy`; BST14 needs
+/// delta > 0. This is the single surface RunPrivateSolver dispatches on;
+/// TrainerConfig and the engine driver both convert into it rather than
+/// re-implementing the dispatch.
+struct SolverSpec : BoltOnOptions {
   /// Scale c of SCS13's η_t = c/√t schedule (Table 4 uses 1).
   double scs13_step_scale = 1.0;
   /// Hypothesis radius handed to BST14 in the convex case, where the loss
@@ -70,9 +62,9 @@ struct SolverOutput {
 
 /// The single dispatch point for every training algorithm, with the Table 4
 /// step-size conventions applied per (algorithm, convexity):
-///   noiseless: convex 1/√m, strongly convex 1/(γt) — sharded when
-///              spec.shards > 1;
-///   bolt-on:   Algorithms 1/2 via PrivatePsgd (sharding per Lemma 10);
+///   noiseless: RunBlackBox without noise — convex 1/√m, strongly convex
+///              1/(γt); sharded when spec.shards > 1;
+///   bolt-on:   RunBlackBox, Algorithms 1/2 (sharding per Lemma 10);
 ///   SCS13:     1/√t per-update noise — rejects shards > 1;
 ///   BST14:     Algorithm 4/5 schedules — rejects shards > 1;
 ///   objective: logistic loss + pure ε-DP only — rejects shards > 1.
@@ -81,6 +73,15 @@ struct SolverOutput {
 Result<SolverOutput> RunPrivateSolver(Algorithm algorithm, const Dataset& data,
                                       const LossFunction& loss,
                                       const SolverSpec& spec, Rng* rng);
+
+/// RunPrivateSolver with checkpoint hooks handed to the black-box body:
+/// RunSolverWithCheckpoints' way onto the same path (and the same
+/// "solver.run" span). Only kNoiseless and kBoltOn take hooks; a non-null
+/// `checkpoint` with any other algorithm is InvalidArgument.
+Result<SolverOutput> RunPrivateSolver(Algorithm algorithm, const Dataset& data,
+                                      const LossFunction& loss,
+                                      const SolverSpec& spec, Rng* rng,
+                                      BlackBoxCheckpoint* checkpoint);
 
 }  // namespace bolton
 

@@ -1,12 +1,10 @@
 #include "engine/bolt_on_driver.h"
 
-#include <cmath>
 #include <utility>
 
 #include "core/sensitivity.h"
 #include "obs/trace.h"
 #include "optim/parallel_executor.h"
-#include "optim/schedule.h"
 
 namespace bolton {
 
@@ -18,18 +16,14 @@ namespace {
 /// (epoch_seconds, convergence testing) is per-shard here and not surfaced,
 /// so the driver reports exactly options.passes epochs.
 Result<DriverOutput> RunShardedDriver(Table* table, const LossFunction& loss,
-                                      const StepSizeSchedule& schedule,
-                                      const BoltOnOptions& options, Rng* rng) {
+                                      const BlackBoxPlan& plan, Rng* rng) {
   BOLTON_ASSIGN_OR_RETURN(Dataset data, table->ToDataset());
-  PsgdOptions psgd;
-  psgd.run() = options.run();
-  psgd.radius = loss.radius();
-  psgd.sampling = SamplingMode::kPermutation;
-  BOLTON_ASSIGN_OR_RETURN(ShardedPsgdOutput run,
-                          RunShardedPsgd(data, loss, schedule, psgd, rng));
+  BOLTON_ASSIGN_OR_RETURN(
+      ShardedPsgdOutput run,
+      RunShardedPsgd(data, loss, *plan.schedule, plan.psgd, rng));
   DriverOutput out;
   out.model = std::move(run.model);
-  out.epochs_run = options.passes;
+  out.epochs_run = plan.psgd.passes;
   out.stats = run.stats;
   return out;
 }
@@ -41,9 +35,10 @@ Result<BoltOnDriverOutput> RunBoltOnPrivateDriver(Table* table,
                                                   const BoltOnOptions& options,
                                                   double tolerance, Rng* rng) {
   if (table == nullptr) return Status::InvalidArgument("null table");
-  BOLTON_RETURN_IF_ERROR(options.privacy.Validate());
   const size_t m = table->num_rows();
-  if (m == 0) return Status::InvalidArgument("empty table");
+  BOLTON_ASSIGN_OR_RETURN(
+      BlackBoxPlan plan,
+      PlanBlackBox(loss, m, options, /*private_run=*/true));
 
   obs::ScopedSpan train_span("bolton.train");
 
@@ -51,9 +46,6 @@ Result<BoltOnDriverOutput> RunBoltOnPrivateDriver(Table* table,
   driver_options.max_epochs = options.passes;
   driver_options.batch_size = options.batch_size;
   driver_options.radius = loss.radius();
-
-  std::unique_ptr<StepSizeSchedule> schedule;
-  double eta = 0.0;
   if (loss.IsStronglyConvex()) {
     // Algorithm 2 on the engine: k-oblivious sensitivity allows the
     // convergence test (serial path only — shards run fixed epochs).
@@ -63,33 +55,23 @@ Result<BoltOnDriverOutput> RunBoltOnPrivateDriver(Table* table,
           "shard; convergence-based stopping is serial-only (shards=1)");
     }
     driver_options.tolerance = tolerance;
-    BOLTON_ASSIGN_OR_RETURN(
-        schedule,
-        MakeInverseTimeStep(loss.strong_convexity(), loss.smoothness()));
-  } else {
+  } else if (tolerance > 0.0) {
     // Algorithm 1 on the engine: the epoch count enters the sensitivity, so
     // it must be fixed up front.
-    if (tolerance > 0.0) {
-      return Status::FailedPrecondition(
-          "convex bolt-on training must run a fixed number of epochs; "
-          "convergence-based stopping would leak the realized pass count "
-          "into the sensitivity (see Lemma 6)");
-    }
-    eta = options.constant_step > 0.0
-              ? options.constant_step
-              : 1.0 / std::sqrt(static_cast<double>(m));
-    BOLTON_ASSIGN_OR_RETURN(schedule, MakeConstantStep(eta));
+    return Status::FailedPrecondition(
+        "convex bolt-on training must run a fixed number of epochs; "
+        "convergence-based stopping would leak the realized pass count "
+        "into the sensitivity (see Lemma 6)");
   }
 
   // --- The unmodified black box: the serial engine driver, or s parallel
   // copies of it over disjoint shards (Lemma 10). ---
   DriverOutput run;
   if (options.shards > 1) {
-    BOLTON_ASSIGN_OR_RETURN(
-        run, RunShardedDriver(table, loss, *schedule, options, rng));
+    BOLTON_ASSIGN_OR_RETURN(run, RunShardedDriver(table, loss, plan, rng));
   } else {
     BOLTON_ASSIGN_OR_RETURN(
-        run, RunSgdDriver(table, loss, *schedule, driver_options, rng));
+        run, RunSgdDriver(table, loss, *plan.schedule, driver_options, rng));
   }
 
   // --- The bolt-on: compute Δ₂ for the run that actually happened, draw
@@ -100,7 +82,7 @@ Result<BoltOnDriverOutput> RunBoltOnPrivateDriver(Table* table,
   setup.num_examples = m;
   BOLTON_ASSIGN_OR_RETURN(
       double sensitivity,
-      BoltOnSensitivity(loss, eta, setup, options.shards,
+      BoltOnSensitivity(loss, plan.eta, setup, options.shards,
                         options.use_corrected_minibatch_sensitivity,
                         options.privacy));
 

@@ -15,10 +15,6 @@
 
 namespace bolton {
 
-// Algorithm, AlgorithmName, and ParseAlgorithm live in core/solver.h (the
-// unified dispatch layer); this header re-exports them for the existing
-// trainer call sites.
-
 /// The two model families evaluated (§4.3 and Appendix B).
 enum class ModelKind { kLogistic, kHuberSvm };
 

@@ -48,10 +48,9 @@ void SleepBeforeRetry(const ShardRetryPolicy& retry, size_t attempt,
 /// rest of the spec; everything here can only change speed and fault
 /// tolerance, never results (the executor's determinism contract).
 ///
-/// This replaces the old positional `max_threads` / `retry` parameters of
-/// RunShardedPsgd. It rides inside SgdRunSpec, so it flows CLI →
-/// TrainerConfig → SolverSpec → BoltOnOptions → PsgdOptions through the
-/// existing one-line `dst.run() = src.run()` conversions.
+/// It rides inside SgdRunSpec, so it flows CLI → TrainerConfig →
+/// SolverSpec (a BoltOnOptions) → PsgdOptions through the one-line
+/// `dst.run() = src.run()` conversions.
 struct ExecutorConfig {
   /// Pool to dispatch shard slices onto; nullptr = the process-wide
   /// GlobalThreadPool(). Injecting a pool is for tests and embedders that

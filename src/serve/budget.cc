@@ -15,44 +15,17 @@ namespace serve {
 
 namespace {
 
-constexpr char kMagic[] = "bolton-budget v1";
+constexpr char kMagic[] = "bolton-budget v2";
+/// v1 files seeded their FNV-1a checksum with the offset basis missing its
+/// last digit; they stay readable (spend intact) and are rewritten as v2 by
+/// the persist that follows every Open.
+constexpr char kLegacyMagic[] = "bolton-budget v1";
+constexpr uint64_t kLegacyFnvBasis = 1469598103934665603ull;
 
 /// Tolerance for the over-budget comparison: ε/δ sums accumulate float
 /// error across many holds; a request within one part in 10⁹ of the line
 /// is admitted rather than refused on rounding noise.
 constexpr double kBudgetSlack = 1e-9;
-
-uint64_t Fnv1a(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// Tenant ids and labels are identifier-ish; "-" stands for the empty
-/// string and embedded whitespace is made safe (same convention as the
-/// checkpoint format).
-std::string EncodeToken(const std::string& s) {
-  if (s.empty()) return "-";
-  std::string out = s;
-  for (char& c : out) {
-    if (c == ' ' || c == '\t' || c == '\n') c = '_';
-  }
-  return out;
-}
-
-std::string DecodeToken(const std::string& s) { return s == "-" ? "" : s; }
-
-Result<uint64_t> ParseU64Token(const std::string& text) {
-  auto parsed = ParseInt(text);
-  if (!parsed.ok() || parsed.value() < 0) {
-    return Status::InvalidArgument(
-        StrFormat("bad unsigned integer '%s'", text.c_str()));
-  }
-  return static_cast<uint64_t>(parsed.value());
-}
 
 void RecordBudgetEvent(const std::string& kind, const std::string& tenant,
                        const std::string& label, const PrivacyParams& cost,
@@ -350,31 +323,19 @@ std::string TenantBudgetManager::RenderLocked() const {
                      EncodeToken(hold.tenant).c_str(), hold.cost.epsilon,
                      hold.cost.delta, EncodeToken(hold.label).c_str());
   }
-  out += StrFormat("checksum %016llx\n",
-                   static_cast<unsigned long long>(
-                       Fnv1a(out.data(), out.size())));
+  AppendChecksumTrailer(&out);
   return out;
 }
 
 Status TenantBudgetManager::RestoreLocked(const std::string& content) {
-  const size_t checksum_at = content.rfind("\nchecksum ");
-  if (checksum_at == std::string::npos) {
-    return Status::InvalidArgument("missing checksum line");
-  }
-  const size_t body_size = checksum_at + 1;  // include the preceding '\n'
-  const std::string checksum_line(
-      StripWhitespace(content.substr(body_size)));
-  const std::string expected =
-      StrFormat("checksum %016llx",
-                static_cast<unsigned long long>(
-                    Fnv1a(content.data(), body_size)));
-  if (checksum_line != expected) {
-    return Status::InvalidArgument("checksum mismatch (truncated or "
-                                   "corrupted budget state)");
-  }
+  const bool legacy = StartsWith(content, std::string(kLegacyMagic) + "\n");
+  BOLTON_ASSIGN_OR_RETURN(
+      std::string_view body,
+      VerifyChecksumTrailer(content,
+                            legacy ? kLegacyFnvBasis : kFnv1aOffsetBasis));
 
   std::vector<std::string> lines;
-  for (const std::string& line : StrSplit(content.substr(0, body_size), '\n')) {
+  for (const std::string& line : StrSplit(body, '\n')) {
     if (!std::string(StripWhitespace(line)).empty()) lines.push_back(line);
   }
   size_t at = 0;
@@ -392,20 +353,20 @@ Status TenantBudgetManager::RestoreLocked(const std::string& content) {
     return tokens;
   };
 
-  if (at >= lines.size() || lines[at] != kMagic) {
-    return Status::InvalidArgument("not a bolton-budget v1 file");
+  if (at >= lines.size() || (lines[at] != kMagic && !legacy)) {
+    return Status::InvalidArgument("not a bolton-budget v1/v2 file");
   }
   ++at;
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, next_tokens("next_hold"));
     if (tokens.size() != 2) return Status::InvalidArgument("bad next_hold");
-    BOLTON_ASSIGN_OR_RETURN(next_hold_id_, ParseU64Token(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(next_hold_id_, ParseUint64(tokens[1]));
   }
   uint64_t account_count = 0;
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, next_tokens("accounts"));
     if (tokens.size() != 2) return Status::InvalidArgument("bad accounts");
-    BOLTON_ASSIGN_OR_RETURN(account_count, ParseU64Token(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(account_count, ParseUint64(tokens[1]));
   }
   accounts_.clear();
   for (uint64_t i = 0; i < account_count; ++i) {
@@ -427,26 +388,26 @@ Status TenantBudgetManager::RestoreLocked(const std::string& content) {
                                      tenant.c_str())));
     }
     BOLTON_ASSIGN_OR_RETURN(account->second.commits,
-                            ParseU64Token(tokens[6]));
+                            ParseUint64(tokens[6]));
     BOLTON_ASSIGN_OR_RETURN(account->second.refunds,
-                            ParseU64Token(tokens[7]));
+                            ParseUint64(tokens[7]));
     BOLTON_ASSIGN_OR_RETURN(account->second.refusals,
-                            ParseU64Token(tokens[8]));
+                            ParseUint64(tokens[8]));
     BOLTON_ASSIGN_OR_RETURN(account->second.recovered,
-                            ParseU64Token(tokens[9]));
+                            ParseUint64(tokens[9]));
   }
   uint64_t hold_count = 0;
   {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, next_tokens("holds"));
     if (tokens.size() != 2) return Status::InvalidArgument("bad holds");
-    BOLTON_ASSIGN_OR_RETURN(hold_count, ParseU64Token(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(hold_count, ParseUint64(tokens[1]));
   }
   holds_.clear();
   for (uint64_t i = 0; i < hold_count; ++i) {
     BOLTON_ASSIGN_OR_RETURN(auto tokens, next_tokens("hold"));
     if (tokens.size() != 6) return Status::InvalidArgument("bad hold line");
     uint64_t id = 0;
-    BOLTON_ASSIGN_OR_RETURN(id, ParseU64Token(tokens[1]));
+    BOLTON_ASSIGN_OR_RETURN(id, ParseUint64(tokens[1]));
     Hold hold;
     hold.tenant = DecodeToken(tokens[2]);
     BOLTON_ASSIGN_OR_RETURN(hold.cost.epsilon, ParseDouble(tokens[3]));

@@ -20,6 +20,11 @@ Status ErrnoIOError(const std::string& what, const std::string& path) {
                                    std::strerror(errno)));
 }
 
+std::string ChecksumLine(std::string_view body, uint64_t basis) {
+  return StrFormat("checksum %016llx",
+                   static_cast<unsigned long long>(Fnv1a(body, basis)));
+}
+
 }  // namespace
 
 Status AtomicWriteFile(const std::string& tmp_path, const std::string& path,
@@ -67,6 +72,35 @@ Result<std::string> ReadFileToString(const std::string& path) {
                       std::istreambuf_iterator<char>());
   if (in.bad()) return ErrnoIOError("read failed for", path);
   return content;
+}
+
+uint64_t Fnv1a(std::string_view bytes, uint64_t basis) {
+  uint64_t h = basis;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+void AppendChecksumTrailer(std::string* content) {
+  *content += ChecksumLine(*content, kFnv1aOffsetBasis);
+  *content += "\n";
+}
+
+Result<std::string_view> VerifyChecksumTrailer(std::string_view content,
+                                               uint64_t basis) {
+  const size_t checksum_at = content.rfind("\nchecksum ");
+  if (checksum_at == std::string_view::npos) {
+    return Status::InvalidArgument("missing checksum line");
+  }
+  const std::string_view body = content.substr(0, checksum_at + 1);
+  if (StripWhitespace(content.substr(body.size())) !=
+      ChecksumLine(body, basis)) {
+    return Status::InvalidArgument(
+        "checksum mismatch (corrupt or truncated file)");
+  }
+  return body;
 }
 
 }  // namespace bolton

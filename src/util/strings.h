@@ -18,6 +18,16 @@ std::string_view StripWhitespace(std::string_view text);
 /// Parses a double / int with full-token validation (rejects trailing junk).
 Result<double> ParseDouble(std::string_view text);
 Result<int64_t> ParseInt(std::string_view text);
+/// Parses an unsigned decimal over the full uint64 range with full-token
+/// validation; rejects any sign, and OutOfRange above 2^64 - 1.
+Result<uint64_t> ParseUint64(std::string_view text);
+
+/// The token codec of the space-separated state files (checkpoints, the
+/// serve budget): "-" stands for the empty string and embedded whitespace
+/// becomes '_', so a token never splits. DecodeToken inverts it for every
+/// string without whitespace.
+std::string EncodeToken(std::string_view s);
+std::string DecodeToken(std::string_view token);
 
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);

@@ -13,6 +13,7 @@
 #include "core/private_sgd.h"
 #include "data/synthetic.h"
 #include "obs/ledger.h"
+#include "obs/trace.h"
 #include "util/failpoint.h"
 
 namespace bolton {
@@ -79,6 +80,8 @@ class CheckpointTest : public ::testing::Test {
   void SetUp() override { FailpointRegistry::Default().Clear(); }
   void TearDown() override {
     FailpointRegistry::Default().Clear();
+    obs::TraceRecorder::Default().SetEnabled(false);
+    obs::TraceRecorder::Default().Clear();
     obs::PrivacyLedger::Default().SetEnabled(false);
     obs::PrivacyLedger::Default().Clear();
   }
@@ -206,27 +209,58 @@ TEST_F(CheckpointTest, SpecHashTracksTheResumeContract) {
 
 TEST_F(CheckpointTest, UninterruptedCheckpointedRunMatchesPlainSolver) {
   Dataset data = MakeTrainingSet();
-  auto loss = MakeLogisticLoss(0.1, 10.0).MoveValue();
-  SolverSpec spec;
-  spec.passes = 3;
-  spec.batch_size = 4;
-  spec.privacy = PrivacyParams{1.0, 0.0};
+  // Both branches of the black-box plan (Algorithm 2 and Algorithm 1), both
+  // mechanisms, an explicit constant step, and the corrected batch bound.
+  struct Case {
+    const char* name;
+    double lambda;
+    double radius;
+    PrivacyParams privacy;
+    double constant_step;
+    bool corrected;
+  };
+  const Case cases[] = {
+      {"strongly convex, laplace", 0.1, 10.0, {1.0, 0.0}, 0.0, false},
+      {"convex", 0.0, kInf, {1.0, 0.0}, 0.0, false},
+      {"gaussian", 0.1, 10.0, {0.5, 1e-6}, 0.0, false},
+      {"convex, constant step", 0.0, kInf, {1.0, 0.0}, 0.05, false},
+      {"corrected batch bound", 0.1, 10.0, {1.0, 0.0}, 0.0, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto loss = MakeLogisticLoss(c.lambda, c.radius).MoveValue();
+    SolverSpec spec;
+    spec.passes = 3;
+    spec.batch_size = 4;
+    spec.privacy = c.privacy;
+    spec.constant_step = c.constant_step;
+    spec.use_corrected_minibatch_sensitivity = c.corrected;
 
-  for (Algorithm algorithm : {Algorithm::kNoiseless, Algorithm::kBoltOn}) {
-    Rng plain_rng(17), ckpt_rng(17);
-    auto plain = RunPrivateSolver(algorithm, data, *loss, spec, &plain_rng);
-    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    for (Algorithm algorithm : {Algorithm::kNoiseless, Algorithm::kBoltOn}) {
+      Rng plain_rng(17), ckpt_rng(17);
+      auto plain = RunPrivateSolver(algorithm, data, *loss, spec, &plain_rng);
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
-    CheckpointOptions options;
-    options.dir = MakeCheckpointDir("ckpt_uninterrupted");
-    auto checkpointed = RunSolverWithCheckpoints(algorithm, data, *loss, spec,
-                                                 &ckpt_rng, options);
-    ASSERT_TRUE(checkpointed.ok()) << checkpointed.status().ToString();
-    EXPECT_EQ(plain.value().model, checkpointed.value().model)
-        << "algorithm " << AlgorithmName(algorithm);
-    EXPECT_EQ(plain.value().sensitivity, checkpointed.value().sensitivity);
-    // A successful run removes its checkpoint: it holds pre-noise state.
-    EXPECT_FALSE(CheckpointManager(options.dir).Exists());
+      CheckpointOptions options;
+      options.dir = MakeCheckpointDir("ckpt_uninterrupted");
+      obs::TraceRecorder::Default().Clear();
+      obs::TraceRecorder::Default().SetEnabled(true);
+      auto checkpointed = RunSolverWithCheckpoints(algorithm, data, *loss,
+                                                   spec, &ckpt_rng, options);
+      obs::TraceRecorder::Default().SetEnabled(false);
+      ASSERT_TRUE(checkpointed.ok()) << checkpointed.status().ToString();
+      EXPECT_EQ(plain.value().model, checkpointed.value().model)
+          << "algorithm " << AlgorithmName(algorithm);
+      EXPECT_EQ(plain.value().sensitivity, checkpointed.value().sensitivity);
+      // A successful run removes its checkpoint: it holds pre-noise state.
+      EXPECT_FALSE(CheckpointManager(options.dir).Exists());
+      // The checkpointed run takes RunPrivateSolver's path, span included.
+      size_t solver_spans = 0;
+      for (const auto& span : obs::TraceRecorder::Default().Snapshot()) {
+        if (span.name == "solver.run") ++solver_spans;
+      }
+      EXPECT_EQ(solver_spans, 1u);
+    }
   }
 }
 

@@ -188,6 +188,63 @@ TEST(TenantBudgetTest, CorruptedStateRefusedAtOpen) {
       << reopened.status().ToString();
 }
 
+/// A state file as the v1 writer left it (two tenants, one commit each).
+/// v1 seeded its FNV-1a checksum with 1469598103934665603, the offset basis
+/// missing its last digit.
+constexpr char kLegacyV1State[] =
+    "bolton-budget v1\n"
+    "next_hold 3\n"
+    "accounts 2\n"
+    "account acme 1 1.0000000000000001e-05 0.25 9.9999999999999995e-07 "
+    "1 0 0 0\n"
+    "account beta 1 1.0000000000000001e-05 0.5 0 1 0 0 0\n"
+    "holds 0\n"
+    "checksum 2b5477ff524eed38\n";
+
+void WriteStateFile(const std::string& dir, const std::string& content) {
+  std::ofstream out(dir + "/bolton.budget", std::ios::trunc);
+  out << content;
+}
+
+TEST(TenantBudgetTest, LegacyV1StateOpensWithSpendIntact) {
+  TenantBudgetOptions options = InMemory();
+  options.state_dir = MakeStateDir("budget_legacy");
+  WriteStateFile(options.state_dir, kLegacyV1State);
+  {
+    auto manager = TenantBudgetManager::Open(options);
+    ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+    TenantAccountView acme = manager.value()->Account("acme");
+    EXPECT_DOUBLE_EQ(acme.spent.epsilon, 0.25);
+    EXPECT_DOUBLE_EQ(acme.spent.delta, 1e-6);
+    EXPECT_DOUBLE_EQ(acme.budget.epsilon, 1.0);
+    EXPECT_EQ(acme.commits, 1u);
+    EXPECT_DOUBLE_EQ(manager.value()->Account("beta").spent.epsilon, 0.5);
+  }
+  // Open persisted the state again, now as v2, and it reopens unchanged.
+  std::ifstream in(options.state_dir + "/bolton.budget");
+  std::string magic;
+  ASSERT_TRUE(std::getline(in, magic));
+  EXPECT_EQ(magic, "bolton-budget v2");
+  auto reopened = TenantBudgetManager::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_DOUBLE_EQ(reopened.value()->Account("acme").spent.epsilon, 0.25);
+  EXPECT_DOUBLE_EQ(reopened.value()->Account("beta").spent.epsilon, 0.5);
+}
+
+TEST(TenantBudgetTest, CorruptedLegacyStateRefusedAtOpen) {
+  TenantBudgetOptions options = InMemory();
+  options.state_dir = MakeStateDir("budget_legacy_corrupt");
+  std::string content = kLegacyV1State;
+  const size_t at = content.find(" 0.25 ");
+  ASSERT_NE(at, std::string::npos);
+  content[at + 3] = '1';  // acme's spend 0.25 -> 0.15
+  WriteStateFile(options.state_dir, content);
+  auto opened = TenantBudgetManager::Open(options);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("checksum"), std::string::npos)
+      << opened.status().ToString();
+}
+
 TEST(TenantBudgetTest, BudgetEventsAreTenantKeyed) {
   obs::PrivacyLedger& ledger = obs::PrivacyLedger::Default();
   ledger.Clear();

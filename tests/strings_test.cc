@@ -57,6 +57,34 @@ TEST(ParseIntTest, RangeErrorIsOutOfRange) {
             StatusCode::kOutOfRange);
 }
 
+TEST(ParseUint64Test, ParsesTheFullUnsignedRange) {
+  EXPECT_EQ(ParseUint64("0").value(), 0u);
+  EXPECT_EQ(ParseUint64(" 42 ").value(), 42u);
+  EXPECT_EQ(ParseUint64("9223372036854775808").value(),
+            9223372036854775808ull);  // INT64_MAX + 1
+  EXPECT_EQ(ParseUint64("18446744073709551615").value(),
+            18446744073709551615ull);
+}
+
+TEST(ParseUint64Test, RejectsSignsAndJunk) {
+  for (const char* text : {"", "   ", "-1", "-0", "+1", " -5", "7x", "3.5",
+                           "1 2", "0x10", "abc"}) {
+    EXPECT_EQ(ParseUint64(text).status().code(), StatusCode::kInvalidArgument)
+        << "'" << text << "'";
+  }
+  EXPECT_EQ(ParseUint64("18446744073709551616").status().code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(TokenCodecTest, RoundTripsAndNeverSplits) {
+  for (const char* text : {"", "acme", "bolton.sensitivity", "-x", "a-b"}) {
+    EXPECT_EQ(DecodeToken(EncodeToken(text)), text) << "'" << text << "'";
+  }
+  EXPECT_EQ(EncodeToken(""), "-");
+  EXPECT_EQ(EncodeToken("a b\tc\nd"), "a_b_c_d");
+  EXPECT_EQ(DecodeToken("-"), "");
+}
+
 TEST(StartsWithTest, Basics) {
   EXPECT_TRUE(StartsWith("--flag", "--"));
   EXPECT_FALSE(StartsWith("-flag", "--"));

@@ -176,33 +176,38 @@ echo "== fault-injection pass (failpoints + checkpoint/resume, sanitized) =="
 # An armed failpoint must abort the run with a clean injected error while
 # leaving a resumable checkpoint behind. --ledger-out enables the ledger so
 # the interrupted run's calibration survives into the checkpoint snapshot
-# (the file itself is never written on the failing run).
-CKPT="$WORKDIR/ckpt"
-mkdir -p "$CKPT"
-if BOLTON_FAILPOINTS="psgd.pass:error@3" "$CLI" train \
-    --data "$WORKDIR/train.libsvm" --algo ours \
-    --epsilon 2 --lambda 0.01 --passes 5 --batch 10 \
-    --model "$WORKDIR/fault_model.txt" \
-    --checkpoint-dir "$CKPT" --checkpoint-every 1 \
-    --ledger-out "$WORKDIR/fault_ledger.jsonl" \
-    > "$WORKDIR/fault.log" 2>&1; then
-  echo "train with armed failpoint unexpectedly succeeded"; exit 1
-fi
-grep -q "failpoint 'psgd.pass'" "$WORKDIR/fault.log"
-[ -f "$CKPT/bolton.ckpt" ] || { echo "no checkpoint left behind"; exit 1; }
-# Resume must finish the run and carry the whole fault-tolerance trail:
-# the restored calibration, checkpoint + resume markers, and exactly one
-# noise draw for the entire (interrupted + resumed) release.
-"$CLI" train --data "$WORKDIR/train.libsvm" --algo ours \
-    --epsilon 2 --lambda 0.01 --passes 5 --batch 10 \
-    --model "$WORKDIR/fault_model.txt" \
-    --checkpoint-dir "$CKPT" --resume \
-    --ledger-out "$WORKDIR/fault_ledger.jsonl" > /dev/null
-grep -q '"kind":"resume"' "$WORKDIR/fault_ledger.jsonl"
-grep -q '"kind":"checkpoint"' "$WORKDIR/fault_ledger.jsonl"
-[ "$(grep -c '"kind":"calibration"' "$WORKDIR/fault_ledger.jsonl")" -eq 1 ]
-[ "$(grep -c '"kind":"noise_draw"' "$WORKDIR/fault_ledger.jsonl")" -eq 1 ]
-[ ! -f "$CKPT/bolton.ckpt" ] || { echo "checkpoint not cleaned up"; exit 1; }
+# (the file itself is never written on the failing run). Both bolt-on
+# branches crash and resume: Algorithm 2 (--lambda 0.01) and Algorithm 1
+# (--lambda 0).
+for LAMBDA in 0.01 0; do
+  CKPT="$WORKDIR/ckpt_$LAMBDA"
+  FAULT_LEDGER="$WORKDIR/fault_ledger_$LAMBDA.jsonl"
+  mkdir -p "$CKPT"
+  if BOLTON_FAILPOINTS="psgd.pass:error@3" "$CLI" train \
+      --data "$WORKDIR/train.libsvm" --algo ours \
+      --epsilon 2 --lambda "$LAMBDA" --passes 5 --batch 10 \
+      --model "$WORKDIR/fault_model.txt" \
+      --checkpoint-dir "$CKPT" --checkpoint-every 1 \
+      --ledger-out "$FAULT_LEDGER" \
+      > "$WORKDIR/fault.log" 2>&1; then
+    echo "train with armed failpoint unexpectedly succeeded"; exit 1
+  fi
+  grep -q "failpoint 'psgd.pass'" "$WORKDIR/fault.log"
+  [ -f "$CKPT/bolton.ckpt" ] || { echo "no checkpoint left behind"; exit 1; }
+  # Resume must finish the run and carry the whole fault-tolerance trail:
+  # the restored calibration, checkpoint + resume markers, and exactly one
+  # noise draw for the entire (interrupted + resumed) release.
+  "$CLI" train --data "$WORKDIR/train.libsvm" --algo ours \
+      --epsilon 2 --lambda "$LAMBDA" --passes 5 --batch 10 \
+      --model "$WORKDIR/fault_model.txt" \
+      --checkpoint-dir "$CKPT" --resume \
+      --ledger-out "$FAULT_LEDGER" > /dev/null
+  grep -q '"kind":"resume"' "$FAULT_LEDGER"
+  grep -q '"kind":"checkpoint"' "$FAULT_LEDGER"
+  [ "$(grep -c '"kind":"calibration"' "$FAULT_LEDGER")" -eq 1 ]
+  [ "$(grep -c '"kind":"noise_draw"' "$FAULT_LEDGER")" -eq 1 ]
+  [ ! -f "$CKPT/bolton.ckpt" ] || { echo "checkpoint not cleaned up"; exit 1; }
+done
 
 echo "== serve chaos pass (crash between charge and persist, sanitized) =="
 # The exactly-once-spend crash test the budget protocol exists for: a panic
