@@ -182,22 +182,19 @@ inline double TimedSeconds(const char* name, Fn&& fn) {
 }
 
 /// Dumps whatever telemetry is enabled: metrics text to stderr (stdout
-/// carries the figure rows), trace/ledger JSONL to the given paths when
-/// non-empty.
-inline void DumpTelemetry(bool metrics, const std::string& trace_out,
-                          const std::string& ledger_out) {
+/// carries the figure rows), the ledger JSONL to `ledger_out` when
+/// non-empty, and closes any --trace-out span stream.
+inline void DumpTelemetry(bool metrics, const std::string& ledger_out) {
   if (metrics) {
     obs::UpdateProcessMemoryGauges();
     obs::UpdatePerfGauges();
     std::fprintf(stderr, "%s",
                  obs::MetricsRegistry::Default().Snapshot().ToText().c_str());
   }
-  if (!trace_out.empty()) {
-    Status status = obs::TraceRecorder::Default().WriteJsonl(trace_out);
-    if (!status.ok()) {
-      std::fprintf(stderr, "trace export failed: %s\n",
-                   status.ToString().c_str());
-    }
+  auto streamed = obs::TraceRecorder::Default().CloseStream();
+  if (!streamed.ok()) {
+    std::fprintf(stderr, "trace export failed: %s\n",
+                 streamed.status().ToString().c_str());
   }
   if (!ledger_out.empty()) {
     Status status = obs::PrivacyLedger::Default().WriteJsonl(ledger_out);
@@ -445,7 +442,7 @@ struct CommonFlags {
     parser.AddBool("metrics", &metrics,
                    "print a metrics dump to stderr on exit");
     parser.AddString("trace-out", &trace_out,
-                     "write trace spans as JSONL to this file on exit");
+                     "stream every trace span as JSONL to this file");
     parser.AddString("ledger-out", &ledger_out,
                      "write the privacy-spend ledger as JSONL on exit");
     parser.AddString("json-out", &json_out,
@@ -485,7 +482,11 @@ struct CommonFlags {
     SetCurrentThreadName("main");
     obs::SetPerfCountersEnabled(true);
     if (metrics) obs::SetMetricsEnabled(true);
-    if (!trace_out.empty()) obs::TraceRecorder::Default().SetEnabled(true);
+    if (!trace_out.empty()) {
+      obs::TraceRecorder::Default().SetEnabled(true);
+      BOLTON_RETURN_IF_ERROR(
+          obs::TraceRecorder::Default().StreamJsonlTo(trace_out));
+    }
     if (!ledger_out.empty()) obs::PrivacyLedger::Default().SetEnabled(true);
     if (serve_obs >= 0) {
       obs::SetAllEnabled(true);
@@ -511,7 +512,7 @@ struct CommonFlags {
   /// Every bench exports on exit without per-binary dump code.
   ~CommonFlags() {
     FinishProfiler(profile_out);  // no-op when the profiler never started
-    DumpTelemetry(metrics, trace_out, ledger_out);
+    DumpTelemetry(metrics, ledger_out);
     if (!json_out.empty()) {
       Status status =
           obs::internal::WriteStringToFile(json_out, BenchResultsToJson());

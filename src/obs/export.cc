@@ -324,20 +324,6 @@ std::string RenderRecordedLogsJsonl(
   return out;
 }
 
-std::string RenderRecordedSpanJson(const RecordedSpan& s) {
-  return StrFormat(
-      "{\"name\":\"%s\",\"id\":%llu,\"parent\":%llu,\"start_ns\":%llu,"
-      "\"dur_ns\":%llu,\"count\":%llu,\"thread\":%llu,"
-      "\"thread_name\":\"%s\"}",
-      JsonEscape(s.name).c_str(), static_cast<unsigned long long>(s.id),
-      static_cast<unsigned long long>(s.parent_id),
-      static_cast<unsigned long long>(s.start_ns),
-      static_cast<unsigned long long>(s.duration_ns),
-      static_cast<unsigned long long>(s.count),
-      static_cast<unsigned long long>(s.thread_id),
-      JsonEscape(s.thread_name).c_str());
-}
-
 std::string RenderRecordedMetricJson(const RecordedMetric& m) {
   return StrFormat("{\"name\":\"%s\",\"kind\":\"%c\",\"value\":%.17g}",
                    JsonEscape(m.name).c_str(), m.kind, m.value);
@@ -368,11 +354,10 @@ std::string RenderFlightRecorderJson(const FlightRecorder& recorder) {
   }
   out += "],\"recent_spans\":[";
   first = true;
-  for (const RecordedSpan& s :
-       recorder.RecentSpans(FlightRecorder::kSpanSlots)) {
+  for (const SpanRecord& s : recorder.RecentSpans()) {
     if (!first) out += ',';
     first = false;
-    out += RenderRecordedSpanJson(s);
+    out += RenderSpanJson(s);
   }
   out += "],\"metrics\":[";
   first = true;

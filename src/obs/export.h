@@ -112,9 +112,6 @@ std::string RenderRecordedLogJson(const RecordedLogEvent& event);
 /// One JSON object per line, oldest first (the /logz payload).
 std::string RenderRecordedLogsJsonl(const std::vector<RecordedLogEvent>& events);
 
-/// One retained span as a single-line JSON object (no trailing newline).
-std::string RenderRecordedSpanJson(const RecordedSpan& span);
-
 /// One snapshot metric as a single-line JSON object (no trailing newline).
 std::string RenderRecordedMetricJson(const RecordedMetric& metric);
 

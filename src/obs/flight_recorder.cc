@@ -39,20 +39,6 @@ size_t FormatUint(uint64_t v, char* out) {
   return n;
 }
 
-size_t FormatHex(uint64_t v, char* out) {
-  static const char kHex[] = "0123456789abcdef";
-  out[0] = '0';
-  out[1] = 'x';
-  char digits[16];
-  size_t n = 0;
-  do {
-    digits[n++] = kHex[v & 0xf];
-    v >>= 4;
-  } while (v != 0);
-  for (size_t i = 0; i < n; ++i) out[2 + i] = digits[n - 1 - i];
-  return 2 + n;
-}
-
 /// Builds one output line in a stack buffer; silently truncates rather
 /// than overflowing (diagnostics must never make things worse).
 class LineBuilder {
@@ -81,9 +67,6 @@ class LineBuilder {
   void Uint(uint64_t v) {
     if (len_ + 20 < sizeof(buf_)) len_ += FormatUint(v, buf_ + len_);
   }
-  void Hex(uint64_t v) {
-    if (len_ + 18 < sizeof(buf_)) len_ += FormatHex(v, buf_ + len_);
-  }
   void Flush(int fd) {
     if (len_ < sizeof(buf_)) buf_[len_] = '\n';
     RawWrite(fd, buf_, len_ + 1);
@@ -95,16 +78,19 @@ class LineBuilder {
   size_t len_ = 0;
 };
 
+/// Copies `text` into a fixed field, truncated to N - 1 characters and
+/// always NUL-terminated.
+template <size_t N>
+void CopyText(char (&out)[N], const char* text) {
+  size_t i = 0;
+  for (; i + 1 < N && text[i] != '\0'; ++i) out[i] = text[i];
+  out[i] = '\0';
+}
+
 uint64_t DoubleBits(double v) {
   uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
-}
-
-double BitsToDouble(uint64_t bits) {
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
 }  // namespace
@@ -121,30 +107,15 @@ FlightRecorder& FlightRecorder::Default() {
 }
 
 void FlightRecorder::Write(const LogEvent& event) {
-  const uint64_t seq = logs_appended_.fetch_add(1, std::memory_order_relaxed);
-  LogSlot& slot = log_slots_[seq % kLogSlots];
-  uint64_t gen = slot.gen.load(std::memory_order_relaxed);
-  if ((gen & 1) != 0 ||
-      !slot.gen.compare_exchange_strong(gen, gen + 1,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-    // Another writer owns this slot right now; drop rather than block.
-    logs_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  slot.seq.store(seq, std::memory_order_relaxed);
-  slot.mono_ns.store(event.mono_ns, std::memory_order_relaxed);
-  slot.level.store(static_cast<uint64_t>(event.level),
-                   std::memory_order_relaxed);
-  slot.thread_id.store(event.thread_id, std::memory_order_relaxed);
-  slot.span_id.store(event.span_id, std::memory_order_relaxed);
-  slot.line.store(event.line, std::memory_order_relaxed);
-  slot.thread_name.Store(event.thread_name);
-  slot.file.Store(event.file);
+  LogEntry entry{.mono_ns = event.mono_ns, .thread_id = event.thread_id,
+                 .span_id = event.span_id, .level = event.level,
+                 .line = event.line};
+  CopyText(entry.thread_name, event.thread_name);
+  CopyText(entry.file, event.file);
   // The event's message pointer is only valid for this call; the ring's
   // copy (truncated to the slot width) is what survives.
-  slot.message.Store(event.message);
-  slot.gen.store(gen + 2, std::memory_order_release);
+  CopyText(entry.message, event.message);
+  log_ring_.Append(entry);
 
   // Piggyback the periodic metrics snapshot on the log path: no poller
   // thread, and a process that logs at all keeps its snapshot fresh to
@@ -162,27 +133,15 @@ void FlightRecorder::Write(const LogEvent& event) {
 }
 
 void FlightRecorder::RecordSpan(const SpanRecord& record) {
-  const uint64_t seq =
-      spans_appended_.fetch_add(1, std::memory_order_relaxed);
-  SpanSlot& slot = span_slots_[seq % kSpanSlots];
-  uint64_t gen = slot.gen.load(std::memory_order_relaxed);
-  if ((gen & 1) != 0 ||
-      !slot.gen.compare_exchange_strong(gen, gen + 1,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-    spans_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  slot.seq.store(seq, std::memory_order_relaxed);
-  slot.id.store(record.id, std::memory_order_relaxed);
-  slot.parent_id.store(record.parent_id, std::memory_order_relaxed);
-  slot.start_ns.store(record.start_ns, std::memory_order_relaxed);
-  slot.duration_ns.store(record.duration_ns, std::memory_order_relaxed);
-  slot.count.store(record.count, std::memory_order_relaxed);
-  slot.thread_id.store(record.thread_id, std::memory_order_relaxed);
-  slot.name.Store(record.name.c_str());
-  slot.thread_name.Store(record.thread_name.c_str());
-  slot.gen.store(gen + 2, std::memory_order_release);
+  SpanEntry entry{.id = record.id, .parent_id = record.parent_id,
+                  .start_ns = record.start_ns,
+                  .duration_ns = record.duration_ns, .count = record.count,
+                  .thread_id = record.thread_id, .depth = record.depth,
+                  .has_counters = record.has_counters,
+                  .counters = record.counters};
+  CopyText(entry.name, record.name.c_str());
+  CopyText(entry.thread_name, record.thread_name.c_str());
+  span_ring_.Append(entry);
 }
 
 void FlightRecorder::SnapshotMetricsNow() {
@@ -191,20 +150,20 @@ void FlightRecorder::SnapshotMetricsNow() {
       1u - active_metric_buffer_.load(std::memory_order_relaxed);
   MetricBuffer& buf = metric_buffers_[next];
   uint64_t n = 0;
+  MetricEntry entry{};
   for (const auto& [name, value] : snapshot.counters) {
     if (n >= kMetricEntries) break;
-    buf.entries[n].name.Store(name.c_str());
-    buf.entries[n].kind.store('c', std::memory_order_relaxed);
-    buf.entries[n].value_bits.store(value, std::memory_order_relaxed);
-    ++n;
+    CopyText(entry.name, name.c_str());
+    entry.kind = 'c';
+    entry.value = static_cast<double>(value);
+    buf.entries[n++].Store(entry);
   }
   for (const auto& [name, value] : snapshot.gauges) {
     if (n >= kMetricEntries) break;
-    buf.entries[n].name.Store(name.c_str());
-    buf.entries[n].kind.store('g', std::memory_order_relaxed);
-    buf.entries[n].value_bits.store(DoubleBits(value),
-                                    std::memory_order_relaxed);
-    ++n;
+    CopyText(entry.name, name.c_str());
+    entry.kind = 'g';
+    entry.value = value;
+    buf.entries[n++].Store(entry);
   }
   buf.count.store(n, std::memory_order_relaxed);
   buf.mono_ns.store(MonotonicNanos(), std::memory_order_relaxed);
@@ -213,64 +172,25 @@ void FlightRecorder::SnapshotMetricsNow() {
 
 std::vector<RecordedLogEvent> FlightRecorder::RecentLogs(
     size_t max, LogLevel min_level) const {
-  const uint64_t appended = logs_appended_.load(std::memory_order_acquire);
-  const uint64_t begin = appended > kLogSlots ? appended - kLogSlots : 0;
   std::vector<RecordedLogEvent> out;
-  for (uint64_t seq = begin; seq < appended; ++seq) {
-    const LogSlot& slot = log_slots_[seq % kLogSlots];
-    const uint64_t gen1 = slot.gen.load(std::memory_order_acquire);
-    if ((gen1 & 1) != 0) continue;  // mid-write; skip, never wait
-    RecordedLogEvent event;
-    event.seq = slot.seq.load(std::memory_order_relaxed);
-    event.mono_ns = slot.mono_ns.load(std::memory_order_relaxed);
-    event.level = static_cast<LogLevel>(
-        slot.level.load(std::memory_order_relaxed));
-    event.thread_id = slot.thread_id.load(std::memory_order_relaxed);
-    event.span_id = slot.span_id.load(std::memory_order_relaxed);
-    event.line =
-        static_cast<int>(slot.line.load(std::memory_order_relaxed));
-    char text[192];
-    slot.thread_name.LoadTo(text);
-    event.thread_name = text;
-    slot.file.LoadTo(text);
-    event.file = text;
-    slot.message.LoadTo(text);
-    event.message = text;
-    const uint64_t gen2 = slot.gen.load(std::memory_order_acquire);
-    if (gen1 != gen2 || event.seq != seq) continue;  // torn or lapped
-    if (event.level < min_level) continue;
-    out.push_back(std::move(event));
-  }
+  log_ring_.ForEach(0, [&](uint64_t seq, const LogEntry& entry) {
+    if (entry.level < min_level) return;
+    out.push_back({seq, entry.mono_ns, entry.level, entry.thread_id,
+                   entry.span_id, entry.line, entry.thread_name, entry.file,
+                   entry.message});
+  });
   if (out.size() > max) out.erase(out.begin(), out.end() - max);
   return out;
 }
 
-std::vector<RecordedSpan> FlightRecorder::RecentSpans(size_t max) const {
-  const uint64_t appended = spans_appended_.load(std::memory_order_acquire);
-  const uint64_t begin = appended > kSpanSlots ? appended - kSpanSlots : 0;
-  std::vector<RecordedSpan> out;
-  for (uint64_t seq = begin; seq < appended; ++seq) {
-    const SpanSlot& slot = span_slots_[seq % kSpanSlots];
-    const uint64_t gen1 = slot.gen.load(std::memory_order_acquire);
-    if ((gen1 & 1) != 0) continue;
-    RecordedSpan span;
-    const uint64_t slot_seq = slot.seq.load(std::memory_order_relaxed);
-    span.id = slot.id.load(std::memory_order_relaxed);
-    span.parent_id = slot.parent_id.load(std::memory_order_relaxed);
-    span.start_ns = slot.start_ns.load(std::memory_order_relaxed);
-    span.duration_ns = slot.duration_ns.load(std::memory_order_relaxed);
-    span.count = slot.count.load(std::memory_order_relaxed);
-    span.thread_id = slot.thread_id.load(std::memory_order_relaxed);
-    char text[48];
-    slot.name.LoadTo(text);
-    span.name = text;
-    slot.thread_name.LoadTo(text);
-    span.thread_name = text;
-    const uint64_t gen2 = slot.gen.load(std::memory_order_acquire);
-    if (gen1 != gen2 || slot_seq != seq) continue;
-    out.push_back(std::move(span));
-  }
-  if (out.size() > max) out.erase(out.begin(), out.end() - max);
+std::vector<SpanRecord> FlightRecorder::RecentSpans(uint64_t since) const {
+  std::vector<SpanRecord> out;
+  span_ring_.ForEach(since, [&out](uint64_t, const SpanEntry& entry) {
+    out.push_back({entry.name, entry.id, entry.parent_id, entry.depth,
+                   entry.start_ns, entry.duration_ns, entry.count,
+                   entry.thread_id, entry.thread_name, entry.has_counters,
+                   entry.counters});
+  });
   return out;
 }
 
@@ -281,17 +201,9 @@ std::vector<RecordedMetric> FlightRecorder::LatestMetrics() const {
   std::vector<RecordedMetric> out;
   out.reserve(n);
   for (uint64_t i = 0; i < n && i < kMetricEntries; ++i) {
-    RecordedMetric metric;
-    char name[48];
-    buf.entries[i].name.LoadTo(name);
-    metric.name = name;
-    metric.kind = static_cast<char>(
-        buf.entries[i].kind.load(std::memory_order_relaxed));
-    const uint64_t bits =
-        buf.entries[i].value_bits.load(std::memory_order_relaxed);
-    metric.value = metric.kind == 'c' ? static_cast<double>(bits)
-                                      : BitsToDouble(bits);
-    out.push_back(std::move(metric));
+    MetricEntry entry{};
+    buf.entries[i].Load(&entry);
+    out.push_back({entry.name, entry.kind, entry.value});
   }
   return out;
 }
@@ -302,101 +214,62 @@ uint64_t FlightRecorder::LatestMetricsTimestampNs() const {
   return buf.mono_ns.load(std::memory_order_relaxed);
 }
 
-RingStats FlightRecorder::LogRingStats() const {
-  return RingStats{kLogSlots,
-                   logs_appended_.load(std::memory_order_relaxed),
-                   logs_dropped_.load(std::memory_order_relaxed)};
-}
-
-RingStats FlightRecorder::SpanRingStats() const {
-  return RingStats{kSpanSlots,
-                   spans_appended_.load(std::memory_order_relaxed),
-                   spans_dropped_.load(std::memory_order_relaxed)};
-}
-
 void FlightRecorder::WriteRawTo(int fd) const {
   LineBuilder line;
+  auto stats_line = [&](const char* ring, const RingStats& stats) {
+    line.Text(ring);
+    line.Uint(stats.capacity);
+    line.Text(" ");
+    line.Uint(stats.appended);
+    line.Text(" ");
+    line.Uint(stats.dropped);
+    line.Flush(fd);
+  };
+  stats_line("flstats logs ", log_ring_.Stats());
+  stats_line("flstats spans ", span_ring_.Stats());
 
-  line.Text("flstats logs ");
-  line.Uint(kLogSlots);
-  line.Text(" ");
-  line.Uint(logs_appended_.load(std::memory_order_relaxed));
-  line.Text(" ");
-  line.Uint(logs_dropped_.load(std::memory_order_relaxed));
-  line.Flush(fd);
-
-  line.Text("flstats spans ");
-  line.Uint(kSpanSlots);
-  line.Text(" ");
-  line.Uint(spans_appended_.load(std::memory_order_relaxed));
-  line.Text(" ");
-  line.Uint(spans_dropped_.load(std::memory_order_relaxed));
-  line.Flush(fd);
-
-  const uint64_t logs_end = logs_appended_.load(std::memory_order_acquire);
-  const uint64_t logs_begin =
-      logs_end > kLogSlots ? logs_end - kLogSlots : 0;
-  for (uint64_t seq = logs_begin; seq < logs_end; ++seq) {
-    const LogSlot& slot = log_slots_[seq % kLogSlots];
-    const uint64_t gen1 = slot.gen.load(std::memory_order_acquire);
-    if ((gen1 & 1) != 0) continue;
-    if (slot.seq.load(std::memory_order_relaxed) != seq) continue;
-    char text[192];
+  log_ring_.ForEach(0, [&](uint64_t seq, const LogEntry& entry) {
     line.Text("fllog ");
-    line.Uint(seq);
+    for (const uint64_t v : {seq, entry.mono_ns}) {
+      line.Uint(v);
+      line.Text(" ");
+    }
+    line.Text(LogLevelTag(entry.level));
+    for (const uint64_t v : {entry.thread_id, entry.span_id,
+                             static_cast<uint64_t>(entry.line)}) {
+      line.Text(" ");
+      line.Uint(v);
+    }
     line.Text(" ");
-    line.Uint(slot.mono_ns.load(std::memory_order_relaxed));
+    line.Token(entry.thread_name);
     line.Text(" ");
-    line.Text(LogLevelTag(static_cast<LogLevel>(
-        slot.level.load(std::memory_order_relaxed))));
-    line.Text(" ");
-    line.Uint(slot.thread_id.load(std::memory_order_relaxed));
-    line.Text(" ");
-    line.Uint(slot.span_id.load(std::memory_order_relaxed));
-    line.Text(" ");
-    line.Uint(static_cast<uint64_t>(
-        slot.line.load(std::memory_order_relaxed)));
-    line.Text(" ");
-    slot.thread_name.LoadTo(text);
-    line.Token(text);
-    line.Text(" ");
-    slot.file.LoadTo(text);
-    line.Token(text);
+    line.Token(entry.file);
     line.Text(" |");
-    slot.message.LoadTo(text);
-    line.Message(text);
+    line.Message(entry.message);
     line.Flush(fd);
-  }
+  });
 
-  const uint64_t spans_end = spans_appended_.load(std::memory_order_acquire);
-  const uint64_t spans_begin =
-      spans_end > kSpanSlots ? spans_end - kSpanSlots : 0;
-  for (uint64_t seq = spans_begin; seq < spans_end; ++seq) {
-    const SpanSlot& slot = span_slots_[seq % kSpanSlots];
-    const uint64_t gen1 = slot.gen.load(std::memory_order_acquire);
-    if ((gen1 & 1) != 0) continue;
-    if (slot.seq.load(std::memory_order_relaxed) != seq) continue;
-    char text[48];
-    line.Text("flspan ");
-    line.Uint(slot.id.load(std::memory_order_relaxed));
+  // Field order is the postmortem finalizer's: 15 numbers, then the
+  // thread name and span name tokens.
+  span_ring_.ForEach(0, [&](uint64_t, const SpanEntry& entry) {
+    const PerfCounterDelta& c = entry.counters;
+    line.Text("flspan");
+    for (const uint64_t v :
+         {entry.id, entry.parent_id, static_cast<uint64_t>(entry.depth),
+          entry.start_ns, entry.duration_ns, entry.count, entry.thread_id,
+          static_cast<uint64_t>(entry.has_counters),
+          static_cast<uint64_t>(c.available), c.cycles, c.instructions,
+          c.cache_references, c.cache_misses, c.branch_misses,
+          c.task_clock_ns}) {
+      line.Text(" ");
+      line.Uint(v);
+    }
     line.Text(" ");
-    line.Uint(slot.parent_id.load(std::memory_order_relaxed));
+    line.Token(entry.thread_name);
     line.Text(" ");
-    line.Uint(slot.start_ns.load(std::memory_order_relaxed));
-    line.Text(" ");
-    line.Uint(slot.duration_ns.load(std::memory_order_relaxed));
-    line.Text(" ");
-    line.Uint(slot.count.load(std::memory_order_relaxed));
-    line.Text(" ");
-    line.Uint(slot.thread_id.load(std::memory_order_relaxed));
-    line.Text(" ");
-    slot.thread_name.LoadTo(text);
-    line.Token(text);
-    line.Text(" ");
-    slot.name.LoadTo(text);
-    line.Token(text);
+    line.Token(entry.name);
     line.Flush(fd);
-  }
+  });
 
   const MetricBuffer& buf =
       metric_buffers_[active_metric_buffer_.load(std::memory_order_acquire)];
@@ -407,17 +280,16 @@ void FlightRecorder::WriteRawTo(int fd) const {
     line.Flush(fd);
   }
   for (uint64_t i = 0; i < n && i < kMetricEntries; ++i) {
-    const uint64_t kind = buf.entries[i].kind.load(std::memory_order_relaxed);
-    if (kind == 0) continue;
-    char name[48];
-    buf.entries[i].name.LoadTo(name);
+    MetricEntry entry{};
+    buf.entries[i].Load(&entry);
+    if (entry.kind == 0) continue;
     line.Text("flmetric ");
-    const char kind_text[2] = {static_cast<char>(kind), '\0'};
+    const char kind_text[2] = {entry.kind, '\0'};
     line.Text(kind_text);
     line.Text(" ");
-    line.Hex(buf.entries[i].value_bits.load(std::memory_order_relaxed));
+    line.Uint(DoubleBits(entry.value));
     line.Text(" ");
-    line.Token(name);
+    line.Token(entry.name);
     line.Flush(fd);
   }
 }

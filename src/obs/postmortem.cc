@@ -317,7 +317,7 @@ void FillCommonState(PostmortemReport* report) {
   recorder.SnapshotMetricsNow();
   report->recent_logs =
       recorder.RecentLogs(FlightRecorder::kLogSlots, LogLevel::kDebug);
-  report->recent_spans = recorder.RecentSpans(FlightRecorder::kSpanSlots);
+  report->recent_spans = recorder.RecentSpans();
   report->metrics = recorder.LatestMetrics();
   report->log_ring = recorder.LogRingStats();
   report->span_ring = recorder.SpanRingStats();
@@ -490,10 +490,10 @@ std::string RenderPostmortemJson(const PostmortemReport& report) {
       static_cast<unsigned long long>(report.log_ring.dropped));
   out += ",\"recent_spans\":[";
   first = true;
-  for (const RecordedSpan& span : report.recent_spans) {
+  for (const SpanRecord& span : report.recent_spans) {
     if (!first) out += ',';
     first = false;
-    out += RenderRecordedSpanJson(span);
+    out += RenderSpanJson(span);
   }
   out += StrFormat(
       "],\"span_ring\":{\"capacity\":%llu,\"appended\":%llu,"
@@ -676,28 +676,19 @@ Status FinalizePostmortem(const std::string& dir) {
       event.file = Untoken(tokens[8]);
       event.message = message;
       report.recent_logs.push_back(std::move(event));
-    } else if (tag == "flspan" && tokens.size() >= 9) {
-      RecordedSpan span;
-      span.id = ParseUintToken(tokens[1]);
-      span.parent_id = ParseUintToken(tokens[2]);
-      span.start_ns = ParseUintToken(tokens[3]);
-      span.duration_ns = ParseUintToken(tokens[4]);
-      span.count = ParseUintToken(tokens[5]);
-      span.thread_id = ParseUintToken(tokens[6]);
-      span.thread_name = Untoken(tokens[7]);
-      span.name = Untoken(tokens[8]);
-      report.recent_spans.push_back(std::move(span));
+    } else if (tag == "flspan" && tokens.size() >= 18) {
+      uint64_t v[15];
+      for (size_t i = 0; i < 15; ++i) v[i] = ParseUintToken(tokens[1 + i]);
+      report.recent_spans.push_back(
+          {Untoken(tokens[17]), v[0], v[1], static_cast<int>(v[2]), v[3],
+           v[4], v[5], v[6], Untoken(tokens[16]), v[7] != 0,
+           PerfCounterDelta{v[8] != 0, v[9], v[10], v[11], v[12], v[13],
+                            v[14]}});
     } else if (tag == "flmetric" && tokens.size() >= 4) {
       RecordedMetric metric;
       metric.kind = tokens[1].empty() ? 'g' : tokens[1][0];
       const uint64_t bits = ParseUintToken(tokens[2]);
-      if (metric.kind == 'c') {
-        metric.value = static_cast<double>(bits);
-      } else {
-        double v = 0.0;
-        std::memcpy(&v, &bits, sizeof(v));
-        metric.value = v;
-      }
+      std::memcpy(&metric.value, &bits, sizeof(bits));
       metric.name = Untoken(tokens[3]);
       report.metrics.push_back(std::move(metric));
     }

@@ -3,6 +3,7 @@
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "util/logging.h"
+#include "util/strings.h"
 #include "util/thread_name.h"
 
 namespace bolton {
@@ -18,35 +19,50 @@ TraceRecorder& TraceRecorder::Default() {
   return *recorder;
 }
 
-void TraceRecorder::Record(SpanRecord record) {
-  // Completed spans also land in the flight recorder's recent-span ring so
-  // a crash report can show what the process was doing just before dying.
+void TraceRecorder::Record(const SpanRecord& record) {
   FlightRecorder::Default().RecordSpan(record);
-  std::lock_guard<std::mutex> lock(mu_);
-  spans_.push_back(std::move(record));
+  if (!streaming_.load(std::memory_order_relaxed)) return;
+  std::string line = RenderSpanJson(record);
+  line += '\n';
+  std::lock_guard<std::mutex> lock(stream_mu_);
+  if (stream_ == nullptr) return;
+  std::fwrite(line.data(), 1, line.size(), stream_);
+  ++streamed_;
 }
 
 std::vector<SpanRecord> TraceRecorder::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
-}
-
-size_t TraceRecorder::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
+  return FlightRecorder::Default().RecentSpans(
+      watermark_.load(std::memory_order_relaxed));
 }
 
 void TraceRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  spans_.clear();
+  watermark_.store(FlightRecorder::Default().SpanRingStats().appended,
+                   std::memory_order_relaxed);
 }
 
-std::string TraceRecorder::ToJsonl() const {
-  return RenderSpansJsonl(Snapshot());
+Status TraceRecorder::StreamJsonlTo(const std::string& path) {
+  (void)CloseStream();
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return Status::Internal(
+        StrFormat("cannot open '%s' for writing", path.c_str()));
+  }
+  std::lock_guard<std::mutex> lock(stream_mu_);
+  stream_ = f;
+  streamed_ = 0;
+  streaming_.store(true, std::memory_order_relaxed);
+  return Status::OK();
 }
 
-Status TraceRecorder::WriteJsonl(const std::string& path) const {
-  return internal::WriteStringToFile(path, ToJsonl());
+Result<uint64_t> TraceRecorder::CloseStream() {
+  std::lock_guard<std::mutex> lock(stream_mu_);
+  streaming_.store(false, std::memory_order_relaxed);
+  if (stream_ == nullptr) return uint64_t{0};
+  const bool written = std::ferror(stream_) == 0;
+  const bool closed = std::fclose(stream_) == 0;
+  stream_ = nullptr;
+  if (!written || !closed) return Status::Internal("trace stream: short write");
+  return streamed_;
 }
 
 namespace internal {
@@ -98,7 +114,7 @@ ScopedSpan::~ScopedSpan() {
     record.has_counters = true;
     record.counters = counters_;
   }
-  TraceRecorder::Default().Record(std::move(record));
+  TraceRecorder::Default().Record(record);
 }
 
 void PhaseAccumulator::Flush() {
@@ -116,7 +132,7 @@ void PhaseAccumulator::Flush() {
     record.count = count_;
     record.thread_id = CurrentThreadSmallId();
     record.thread_name = CurrentThreadName();
-    recorder.Record(std::move(record));
+    recorder.Record(record);
   }
   total_ns_ = 0;
   count_ = 0;

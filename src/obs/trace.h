@@ -3,12 +3,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/perf_counters.h"
 #include "obs/telemetry.h"
+#include "util/result.h"
 #include "util/status.h"
 
 namespace bolton {
@@ -44,7 +46,9 @@ struct SpanRecord {
   PerfCounterDelta counters;
 };
 
-/// Collects finished spans; thread-safe appends, JSONL export.
+/// Hands finished spans to the flight recorder's span ring
+/// (obs/flight_recorder.h), the one place completed spans live, and —
+/// while a stream is open — appends each to a JSONL file as it completes.
 class TraceRecorder {
  public:
   static TraceRecorder& Default();
@@ -58,15 +62,20 @@ class TraceRecorder {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  void Record(SpanRecord record);
+  void Record(const SpanRecord& record);
 
+  /// The spans recorded since the last Clear() that the ring still holds
+  /// (at most FlightRecorder::kSpanSlots, the newest), in completion order.
   std::vector<SpanRecord> Snapshot() const;
-  size_t size() const;
+  /// Moves the Snapshot() watermark to the present; the ring is untouched.
   void Clear();
 
-  /// One JSON object per span, in completion order.
-  std::string ToJsonl() const;
-  Status WriteJsonl(const std::string& path) const;
+  /// Writes every span completed from now on to `path`, one JSONL line per
+  /// span as it completes, so the file holds the whole run however far the
+  /// ring has wrapped. Replaces any stream already open.
+  Status StreamJsonlTo(const std::string& path);
+  /// Closes the stream; the number of spans written to it.
+  Result<uint64_t> CloseStream();
 
   TraceRecorder() = default;
   TraceRecorder(const TraceRecorder&) = delete;
@@ -75,8 +84,11 @@ class TraceRecorder {
  private:
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> next_id_{1};
-  mutable std::mutex mu_;
-  std::vector<SpanRecord> spans_;
+  std::atomic<uint64_t> watermark_{0};
+  std::atomic<bool> streaming_{false};
+  std::mutex stream_mu_;
+  std::FILE* stream_ = nullptr;
+  uint64_t streamed_ = 0;
 };
 
 namespace internal {

@@ -139,12 +139,20 @@ TenantBudgetManager::AccountState& TenantBudgetManager::GetOrCreateLocked(
   return it->second;
 }
 
+Status TenantBudgetManager::CheckTenant(const std::string& tenant) {
+  if (tenant.empty() || DecodeToken(EncodeToken(tenant)) != tenant) {
+    return Status::InvalidArgument(StrFormat(
+        "tenant id '%s' must be non-empty, not '-', and hold no space, "
+        "tab or newline",
+        tenant.c_str()));
+  }
+  return Status::OK();
+}
+
 Result<uint64_t> TenantBudgetManager::Reserve(const std::string& tenant,
                                               const PrivacyParams& cost,
                                               const std::string& label) {
-  if (tenant.empty()) {
-    return Status::InvalidArgument("tenant id must be non-empty");
-  }
+  BOLTON_RETURN_IF_ERROR(CheckTenant(tenant));
   BOLTON_RETURN_IF_ERROR(cost.Validate().WithContext(
       StrFormat("budget reserve for tenant '%s'", tenant.c_str())));
 

@@ -78,11 +78,18 @@ class TenantBudgetManager {
   static Result<std::unique_ptr<TenantBudgetManager>> Open(
       const TenantBudgetOptions& options);
 
+  /// InvalidArgument naming "tenant" unless `tenant` is non-empty and
+  /// survives the state file's token codec unchanged (no space, tab or
+  /// newline, and not "-"): an id that does not would have its spend
+  /// restored to another tenant after a restart.
+  static Status CheckTenant(const std::string& tenant);
+
   /// Places a write-ahead hold of `cost` against `tenant`'s remaining
   /// budget (basic composition over spend + existing holds). Returns the
-  /// hold id for Commit/Refund. FailedPrecondition when the hold would
-  /// overspend (the refusal is ledgered and counted); IOError when the
-  /// write-ahead persist fails after retries (nothing is held).
+  /// hold id for Commit/Refund. InvalidArgument for a tenant id that
+  /// CheckTenant refuses (nothing held). FailedPrecondition when the hold
+  /// would overspend (the refusal is ledgered and counted); IOError when
+  /// the write-ahead persist fails after retries (nothing is held).
   Result<uint64_t> Reserve(const std::string& tenant,
                            const PrivacyParams& cost,
                            const std::string& label);

@@ -58,6 +58,19 @@ HttpResponse JsonOk(std::string body) {
   return response;
 }
 
+/// The body's "tenant" field, or why a 400 refuses it: missing, not a
+/// string, or an id the budget store cannot keep apart from another
+/// (TenantBudgetManager::CheckTenant).
+Result<std::string> RequestTenant(const JsonValue& body) {
+  auto tenant = body.GetString("tenant", "");
+  if (!tenant.ok()) return tenant.status();
+  if (tenant.value().empty()) {
+    return Status::InvalidArgument("missing required field: tenant");
+  }
+  BOLTON_RETURN_IF_ERROR(TenantBudgetManager::CheckTenant(tenant.value()));
+  return tenant;
+}
+
 /// Maps an AdmissionController refusal onto the degradation ladder.
 HttpResponse AdmissionRefusal(const Status& status,
                               uint64_t retry_after_seconds) {
@@ -251,11 +264,8 @@ HttpResponse ServeDaemon::HandleTrain(const HttpRequest& request) {
   }
   const JsonValue& body = parsed.value();
 
-  auto tenant = body.GetString("tenant", "");
+  auto tenant = RequestTenant(body);
   if (!tenant.ok()) return JsonError(400, "bad_request", tenant.status().message());
-  if (tenant.value().empty()) {
-    return JsonError(400, "bad_request", "missing required field: tenant");
-  }
 
   // Flat-field extraction; any type mismatch answers 400 naming the field.
   TrainerConfig config;
@@ -456,16 +466,15 @@ HttpResponse ServeDaemon::HandlePredict(const HttpRequest& request) {
     return JsonError(400, "bad_request", parsed.status().message());
   }
   const JsonValue& body = parsed.value();
-  auto tenant = body.GetString("tenant", "");
+  auto tenant = RequestTenant(body);
   auto model_id = body.GetString("model_id", "");
   if (!tenant.ok() || !model_id.ok()) {
     return JsonError(400, "bad_request",
                      (!tenant.ok() ? tenant.status() : model_id.status())
                          .message());
   }
-  if (tenant.value().empty() || model_id.value().empty()) {
-    return JsonError(400, "bad_request",
-                     "missing required field: tenant and model_id");
+  if (model_id.value().empty()) {
+    return JsonError(400, "bad_request", "missing required field: model_id");
   }
   const JsonValue* features = body.Find("features");
   if (features == nullptr || !features->is_array()) {
@@ -524,11 +533,8 @@ HttpResponse ServeDaemon::HandleAggregate(const HttpRequest& request) {
     return JsonError(400, "bad_request", parsed.status().message());
   }
   const JsonValue& body = parsed.value();
-  auto tenant = body.GetString("tenant", "");
+  auto tenant = RequestTenant(body);
   if (!tenant.ok()) return JsonError(400, "bad_request", tenant.status().message());
-  if (tenant.value().empty()) {
-    return JsonError(400, "bad_request", "missing required field: tenant");
-  }
 
   std::string dataset_name, op;
   double scale = 0.0, epsilon = 0.0, delta = 0.0;
@@ -627,6 +633,8 @@ HttpResponse ServeDaemon::HandleBudget(const HttpRequest& request) {
   Metrics().requests->Increment();
   const std::string tenant = QueryParam(request.query, "tenant");
   if (!tenant.empty()) {
+    const Status valid = TenantBudgetManager::CheckTenant(tenant);
+    if (!valid.ok()) return JsonError(400, "bad_request", valid.message());
     return JsonOk(RenderAccountView(budget_->Account(tenant)) + "\n");
   }
   std::string body = "[";

@@ -59,6 +59,22 @@ test -s "$WORKDIR/trace.jsonl"
 grep -q '"name":"psgd.pass"' "$WORKDIR/trace.jsonl"
 grep -q '"dur_ns":' "$WORKDIR/trace.jsonl"
 
+# --trace-out streams each span as it completes, so a run that emits more
+# spans than the flight recorder's 1024-slot span ring still exports all.
+"$CLI" train --data "$WORKDIR/train.libsvm" --algo ours \
+    --epsilon 4 --lambda 0.01 --passes 100 --batch 10 --shards 4 \
+    --model "$WORKDIR/stream.model" --trace-out "$WORKDIR/stream.jsonl" \
+    > "$WORKDIR/stream.train.log"
+reported=$(sed -n 's/^wrote \([0-9]*\) trace spans -> .*/\1/p' \
+    "$WORKDIR/stream.train.log")
+lines=$(wc -l < "$WORKDIR/stream.jsonl")
+if [ -z "$reported" ] || [ "$reported" -ne "$lines" ] || \
+    [ "$lines" -le 1024 ]; then
+  echo "streamed trace: reported '$reported' spans, file holds $lines" \
+       "(want equal and > 1024)" >&2
+  exit 1
+fi
+
 # The ledger must record the output-perturbation draw with its mechanism.
 test -s "$WORKDIR/ledger.jsonl"
 grep -q '"kind":"noise_draw"' "$WORKDIR/ledger.jsonl"

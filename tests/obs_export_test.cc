@@ -1,12 +1,19 @@
 #include "obs/export.h"
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/private_sgd.h"
+#include "data/synthetic.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "optim/loss.h"
 
 namespace bolton {
 namespace obs {
@@ -246,6 +253,182 @@ TEST_F(ObsExportTest, ChromeTraceEmptySnapshotIsValidArray) {
   EXPECT_EQ(trace,
             "[{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
             "\"args\":{\"name\":\"boltondp\"}}]\n");
+}
+
+// -------- The span store: the flight recorder's span ring --------
+
+class SpanStoreTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    TraceRecorder::Default().SetEnabled(true);
+    TraceRecorder::Default().Clear();
+  }
+  void TearDown() override {
+    TraceRecorder::Default().SetEnabled(false);
+    TraceRecorder::Default().Clear();
+  }
+
+  static SpanRecord MakeSpan(uint64_t id) {
+    SpanRecord span;
+    span.name = "store.span";
+    span.id = id;
+    span.duration_ns = 3 * id;
+    return span;
+  }
+};
+
+TEST_F(SpanStoreTest, RetainsExactlyTheNewestSlotsInOrder) {
+  constexpr size_t kSlots = FlightRecorder::kSpanSlots;
+  const RingStats before = FlightRecorder::Default().SpanRingStats();
+  for (uint64_t i = 1; i <= kSlots + 50; ++i) {
+    TraceRecorder::Default().Record(MakeSpan(i));
+  }
+  const RingStats after = FlightRecorder::Default().SpanRingStats();
+  EXPECT_EQ(after.capacity, kSlots);
+  EXPECT_EQ(after.appended - before.appended, kSlots + 50);
+  EXPECT_EQ(after.dropped, before.dropped);
+
+  const std::vector<SpanRecord> spans = TraceRecorder::Default().Snapshot();
+  ASSERT_EQ(spans.size(), kSlots);
+  for (size_t i = 0; i < kSlots; ++i) {
+    EXPECT_EQ(spans[i].id, 51 + i);
+    EXPECT_EQ(spans[i].duration_ns, 3 * spans[i].id);
+  }
+}
+
+TEST_F(SpanStoreTest, ClearMovesTheSnapshotWatermark) {
+  TraceRecorder::Default().Record(MakeSpan(1));
+  TraceRecorder::Default().Record(MakeSpan(2));
+  TraceRecorder::Default().Clear();
+  EXPECT_TRUE(TraceRecorder::Default().Snapshot().empty());
+  TraceRecorder::Default().Record(MakeSpan(3));
+  const std::vector<SpanRecord> spans = TraceRecorder::Default().Snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].id, 3u);
+}
+
+TEST_F(SpanStoreTest, EveryFieldRoundTripsThroughTheRing) {
+  SpanRecord span;
+  span.name = "store.round_trip";
+  span.id = 77;
+  span.parent_id = 76;
+  span.depth = 5;
+  span.start_ns = 123456789;
+  span.duration_ns = 4242;
+  span.count = 9;
+  span.thread_id = 13;
+  span.thread_name = "psgd-shard-7";
+  span.has_counters = true;
+  span.counters = PerfCounterDelta{true, 1000, 2500, 300, 30, 7, 4000};
+  TraceRecorder::Default().Record(span);
+
+  const std::vector<SpanRecord> spans = TraceRecorder::Default().Snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(RenderSpanJson(spans[0]), RenderSpanJson(span));
+  EXPECT_EQ(spans[0].depth, 5);
+  EXPECT_EQ(spans[0].parent_id, 76u);
+  EXPECT_EQ(spans[0].thread_name, "psgd-shard-7");
+  EXPECT_TRUE(spans[0].counters.available);
+  EXPECT_EQ(spans[0].counters.instructions, 2500u);
+}
+
+// Concurrent writers (and a concurrent reader) never yield a torn span:
+// whatever the ring retains is a record some writer wrote whole.
+TEST_F(SpanStoreTest, ConcurrentWritersLeaveOnlyWellFormedSpans) {
+  constexpr int kThreads = 8;
+  constexpr uint64_t kPerThread = 500;
+  auto well_formed = [](const SpanRecord& s) {
+    const uint64_t thread = s.id / 1000;
+    return s.name == "store.concurrent" && thread < kThreads &&
+           s.id % 1000 < kPerThread && s.thread_id == thread &&
+           s.duration_ns == 3 * s.id && s.depth == static_cast<int>(thread) &&
+           s.thread_name == "store-" + std::to_string(thread);
+  };
+  const RingStats before = FlightRecorder::Default().SpanRingStats();
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> malformed_reads{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      for (const SpanRecord& s : TraceRecorder::Default().Snapshot()) {
+        if (!well_formed(s)) malformed_reads.fetch_add(1);
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([t] {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        SpanRecord span = MakeSpan(t * 1000 + i);
+        span.name = "store.concurrent";
+        span.thread_id = t;
+        span.depth = t;
+        span.thread_name = "store-" + std::to_string(t);
+        TraceRecorder::Default().Record(span);
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  done.store(true);
+  reader.join();
+
+  const RingStats after = FlightRecorder::Default().SpanRingStats();
+  EXPECT_EQ(after.appended - before.appended, kThreads * kPerThread);
+  const std::vector<SpanRecord> spans = TraceRecorder::Default().Snapshot();
+  EXPECT_LE(spans.size(), FlightRecorder::kSpanSlots);
+  EXPECT_GE(spans.size() + (after.dropped - before.dropped),
+            FlightRecorder::kSpanSlots);
+  for (const SpanRecord& s : spans) EXPECT_TRUE(well_formed(s)) << s.id;
+  EXPECT_EQ(malformed_reads.load(), 0u);
+}
+
+// One traced sharded run fits in the ring whole: the per-layer breakdown
+// a bench reads from Snapshot() misses no span of it.
+TEST_F(SpanStoreTest, ShardedRunFitsInOneSnapshot) {
+  SyntheticConfig config;
+  config.num_examples = 4000;
+  config.dim = 10;
+  config.seed = 5;
+  const Dataset data = GenerateSynthetic(config).MoveValue();
+  auto loss = MakeLogisticLoss(0.01, 100.0).MoveValue();
+  BoltOnOptions options;
+  options.privacy = PrivacyParams{1.0, 0.0};
+  options.passes = 2;
+  options.shards = 8;
+  Rng rng(3);
+  const RingStats before = FlightRecorder::Default().SpanRingStats();
+  ASSERT_TRUE(PrivatePsgd(data, *loss, options, &rng).ok());
+  const RingStats after = FlightRecorder::Default().SpanRingStats();
+
+  const std::vector<SpanRecord> spans = TraceRecorder::Default().Snapshot();
+  EXPECT_EQ(spans.size(), after.appended - before.appended);
+  size_t sharded_runs = 0;
+  for (const SpanRecord& s : spans) {
+    sharded_runs += s.name == "psgd.sharded_run";
+  }
+  EXPECT_EQ(sharded_runs, 1u);
+}
+
+// --trace-out streams: every span reaches the file, including the ones the
+// ring has already overwritten.
+TEST_F(SpanStoreTest, StreamHoldsEverySpanPastTheRingCapacity) {
+  const std::string path = ::testing::TempDir() + "/span_stream.jsonl";
+  ASSERT_TRUE(TraceRecorder::Default().StreamJsonlTo(path).ok());
+  const uint64_t total = FlightRecorder::kSpanSlots + 10;
+  for (uint64_t i = 1; i <= total; ++i) {
+    TraceRecorder::Default().Record(MakeSpan(i));
+  }
+  auto streamed = TraceRecorder::Default().CloseStream();
+  ASSERT_TRUE(streamed.ok());
+  EXPECT_EQ(streamed.value(), total);
+
+  std::ifstream in(path);
+  std::string line;
+  uint64_t id = 0;
+  while (std::getline(in, line)) {
+    EXPECT_EQ(line, RenderSpanJson(MakeSpan(++id)));
+  }
+  EXPECT_EQ(id, total);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -119,6 +120,33 @@ TEST(TenantBudgetTest, InvalidCostAndUnknownHolds) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(manager->Commit(999).code(), StatusCode::kNotFound);
   EXPECT_EQ(manager->Refund(999).code(), StatusCode::kNotFound);
+}
+
+// The state file stores tenant ids through EncodeToken, which maps "-" to
+// "" and "a b" to "a_b" on the way back: such ids would restore their
+// spend to another tenant, so they are refused before anything is held.
+TEST(TenantBudgetTest, IdsTheStateFileCannotKeepApartAreRefused) {
+  TenantBudgetOptions options = InMemory();
+  options.state_dir = MakeStateDir("budget_bad_tenant");
+  auto manager = TenantBudgetManager::Open(options).MoveValue();
+  std::ifstream before_file(options.state_dir + "/bolton.budget");
+  const std::string before((std::istreambuf_iterator<char>(before_file)),
+                           std::istreambuf_iterator<char>());
+  for (const std::string tenant : {"-", "a b", "tab\there", "line\nbreak"}) {
+    EXPECT_EQ(TenantBudgetManager::CheckTenant(tenant).code(),
+              StatusCode::kInvalidArgument);
+    auto refused = manager->Reserve(tenant, {0.1, 0.0}, "x");
+    ASSERT_FALSE(refused.ok()) << tenant;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.status().message().find("tenant"), std::string::npos);
+  }
+  EXPECT_TRUE(manager->Snapshot().empty());
+  std::ifstream after_file(options.state_dir + "/bolton.budget");
+  const std::string after((std::istreambuf_iterator<char>(after_file)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(after, before);
+  EXPECT_TRUE(TenantBudgetManager::CheckTenant("a_b").ok());
+  EXPECT_TRUE(TenantBudgetManager::CheckTenant("--").ok());
 }
 
 TEST(TenantBudgetTest, StatePersistsAcrossReopen) {

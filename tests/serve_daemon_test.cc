@@ -140,6 +140,31 @@ TEST_F(ServeDaemonTest, MalformedRequestsGet400) {
   EXPECT_EQ(error.GetString("error", "").MoveValue(), "bad_request");
 }
 
+// A tenant id the budget file would restore as another tenant ("-" comes
+// back as "") is a client error on every tenant-taking endpoint, refused
+// before admission or any budget hold.
+TEST_F(ServeDaemonTest, UnstorableTenantIdGets400AndSpendsNothing) {
+  StartDaemon();
+  HttpResponse refused = Train(R"({"tenant":"-","algorithm":"bolton",)"
+                               R"("epsilon":0.4,"passes":1,"scale":0.02})");
+  ASSERT_EQ(refused.status, 400) << refused.body;
+  EXPECT_NE(refused.body.find("tenant"), std::string::npos);
+  EXPECT_DOUBLE_EQ(daemon_->budget().Account("-").spent.epsilon, 0.0);
+  EXPECT_DOUBLE_EQ(daemon_->budget().Account("-").reserved.epsilon, 0.0);
+  EXPECT_TRUE(daemon_->budget().Snapshot().empty());
+  EXPECT_EQ(Train(R"({"tenant":"a b","epsilon":0.4})").status, 400);
+  EXPECT_EQ(Call(daemon_->port(), "POST", "/v1/predict",
+                 R"({"tenant":"-","model_id":"x","features":[1]})")
+                .status,
+            400);
+  EXPECT_EQ(Call(daemon_->port(), "POST", "/v1/aggregate",
+                 R"({"tenant":"-","op":"count","epsilon":0.1})")
+                .status,
+            400);
+  EXPECT_EQ(
+      Call(daemon_->port(), "GET", "/v1/budget?tenant=-", "").status, 400);
+}
+
 TEST_F(ServeDaemonTest, WrongMethodGets405) {
   StartDaemon();
   EXPECT_EQ(Call(daemon_->port(), "GET", "/v1/train", "").status, 405);

@@ -25,6 +25,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/checkpoint.h"
 #include "data/loaders.h"
@@ -150,10 +151,11 @@ int Train(int argc, char** argv) {
                 "speed");
   parser.AddBool("metrics", &metrics, "print a metrics dump after training");
   parser.AddString("trace-out", &trace_out,
-                   "write trace spans as JSONL to this file");
+                   "stream every trace span as JSONL to this file");
   parser.AddString("trace-chrome-out", &trace_chrome_out,
-                   "write the span timeline as Chrome trace-event JSON "
-                   "(loadable in chrome://tracing / ui.perfetto.dev)");
+                   "write the newest spans (the flight recorder's span "
+                   "ring) as Chrome trace-event JSON (loadable in "
+                   "chrome://tracing / ui.perfetto.dev)");
   parser.AddString("ledger-out", &ledger_out,
                    "write the privacy-spend ledger as JSONL to this file");
   parser.AddInt("serve-obs", &serve_obs,
@@ -199,6 +201,9 @@ int Train(int argc, char** argv) {
   if (metrics) obs::SetMetricsEnabled(true);
   if (!trace_out.empty() || !trace_chrome_out.empty()) {
     obs::TraceRecorder::Default().SetEnabled(true);
+  }
+  if (!trace_out.empty()) {
+    obs::TraceRecorder::Default().StreamJsonlTo(trace_out).CheckOK();
   }
   if (!ledger_out.empty()) obs::PrivacyLedger::Default().SetEnabled(true);
   // Hardware counters ride along with whichever pillar is on: spans gain
@@ -324,18 +329,26 @@ int Train(int argc, char** argv) {
                           .c_str());
   }
   if (!trace_out.empty()) {
-    obs::TraceRecorder::Default().WriteJsonl(trace_out).CheckOK();
-    std::printf("wrote %zu trace spans -> %s\n",
-                obs::TraceRecorder::Default().size(), trace_out.c_str());
+    auto streamed = obs::TraceRecorder::Default().CloseStream();
+    streamed.status().CheckOK();
+    std::printf("wrote %llu trace spans -> %s\n",
+                static_cast<unsigned long long>(streamed.value()),
+                trace_out.c_str());
   }
   if (!trace_chrome_out.empty()) {
-    obs::internal::WriteStringToFile(
-        trace_chrome_out,
-        obs::RenderChromeTrace(obs::TraceRecorder::Default().Snapshot()))
+    const std::vector<obs::SpanRecord> spans =
+        obs::TraceRecorder::Default().Snapshot();
+    obs::internal::WriteStringToFile(trace_chrome_out,
+                                     obs::RenderChromeTrace(spans))
         .CheckOK();
-    std::printf("wrote %zu spans as Chrome trace -> %s\n",
-                obs::TraceRecorder::Default().size(),
-                trace_chrome_out.c_str());
+    std::printf(
+        "wrote %zu spans as Chrome trace (%llu earlier spans no longer in "
+        "the ring) -> %s\n",
+        spans.size(),
+        static_cast<unsigned long long>(
+            obs::FlightRecorder::Default().SpanRingStats().appended -
+            spans.size()),
+        trace_chrome_out.c_str());
   }
   if (!ledger_out.empty()) {
     obs::PrivacyLedger::Default().WriteJsonl(ledger_out).CheckOK();

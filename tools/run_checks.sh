@@ -209,6 +209,19 @@ for LAMBDA in 0.01 0; do
   [ ! -f "$CKPT/bolton.ckpt" ] || { echo "checkpoint not cleaned up"; exit 1; }
 done
 
+# The port of the `boltondp serve` logging to $1, once it listens.
+serve_port_of() {
+  i=0
+  while [ $i -lt 300 ]; do
+    port=$(sed -n 's/^serve listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
+        "$1" | head -1)
+    [ -n "$port" ] && { echo "$port"; return 0; }
+    i=$((i + 1)); sleep 0.1
+  done
+  cat "$1" >&2
+  return 1
+}
+
 echo "== serve chaos pass (crash between charge and persist, sanitized) =="
 # The exactly-once-spend crash test the budget protocol exists for: a panic
 # failpoint kills the daemon at the commit persist — after the in-memory
@@ -221,15 +234,7 @@ BOLTON_FAILPOINTS="serve.budget_commit:panic@1" "$CLI" serve --port 0 \
     --state-dir "$SERVEDIR" --budget-epsilon 1.0 --budget-delta 1e-5 \
     > "$WORKDIR/serve_crash.log" 2>&1 &
 serve_pid=$!
-i=0
-serve_port=""
-while [ $i -lt 300 ]; do
-  serve_port=$(sed -n 's/^serve listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-      "$WORKDIR/serve_crash.log" | head -1)
-  [ -n "$serve_port" ] && break
-  i=$((i + 1)); sleep 0.1
-done
-[ -n "$serve_port" ] || { cat "$WORKDIR/serve_crash.log"; exit 1; }
+serve_port=$(serve_port_of "$WORKDIR/serve_crash.log")
 # The train itself dies with the daemon; only the crash matters here.
 "$CLI" call --port "$serve_port" --path /v1/train \
     --body '{"tenant":"acme","algorithm":"bolton","epsilon":0.3,"delta":1e-6,"passes":1,"scale":0.02}' \
@@ -243,15 +248,7 @@ fi
     --ledger-out "$WORKDIR/serve_recover.ledger.jsonl" \
     > "$WORKDIR/serve_recover.log" 2>&1 &
 serve_pid=$!
-i=0
-serve_port=""
-while [ $i -lt 300 ]; do
-  serve_port=$(sed -n 's/^serve listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-      "$WORKDIR/serve_recover.log" | head -1)
-  [ -n "$serve_port" ] && break
-  i=$((i + 1)); sleep 0.1
-done
-[ -n "$serve_port" ] || { cat "$WORKDIR/serve_recover.log"; exit 1; }
+serve_port=$(serve_port_of "$WORKDIR/serve_recover.log")
 "$CLI" call --port "$serve_port" --method GET \
     --path "/v1/budget?tenant=acme" > "$WORKDIR/serve_recover.budget.json"
 grep -q '"spent_epsilon":0.3' "$WORKDIR/serve_recover.budget.json" \
@@ -266,6 +263,37 @@ wait "$serve_pid" || { echo "recovered serve did not drain"; exit 1; }
 grep '"kind":"budget_recover"' "$WORKDIR/serve_recover.ledger.jsonl" \
     | grep -q '"tenant":"acme"' \
     || { echo "no tenant-keyed budget_recover ledger event"; exit 1; }
+
+echo "== span-store soak pass (the daemon's spans stay bounded) =="
+# The daemon traces every request, and completed spans live only in the
+# flight recorder's 1024-slot span ring: after 300 trains of 14 spans each
+# /spans must still answer at most 1024 spans while the ring's append count
+# shows every one of them was recorded.
+"$CLI" serve --port 0 --budget-epsilon 1000000 --budget-delta 0.5 \
+    > "$WORKDIR/soak.log" 2>&1 &
+serve_pid=$!
+serve_port=$(serve_port_of "$WORKDIR/soak.log")
+TRAINS=300
+n=0
+while [ $n -lt $TRAINS ]; do
+  "$CLI" call --port "$serve_port" --path /v1/train \
+      --body '{"tenant":"soak","algorithm":"bolton","dataset":"protein","scale":0.05,"epsilon":0.01,"batch_size":50,"passes":3}' \
+      > "$WORKDIR/soak_call.log" 2>&1 \
+      || { cat "$WORKDIR/soak_call.log"; exit 1; }
+  n=$((n + 1))
+done
+span_lines=$("$CLI" call --port "$serve_port" --method GET \
+    --path /spans 2> /dev/null | grep -c '^{"name":')
+appended=$("$CLI" call --port "$serve_port" --method GET \
+    --path /flightrecorder 2> /dev/null \
+    | sed -n 's/.*"span_ring":{"capacity":[0-9]*,"appended":\([0-9]*\).*/\1/p')
+kill -TERM "$serve_pid"
+wait "$serve_pid" || { echo "soaked serve did not drain"; exit 1; }
+[ "$span_lines" -le 1024 ] \
+    || { echo "/spans returned $span_lines spans (> 1024)"; exit 1; }
+[ "$appended" -ge $((14 * TRAINS)) ] \
+    || { echo "span ring appended $appended < $((14 * TRAINS))"; exit 1; }
+echo "soak: /spans held $span_lines spans of $appended recorded"
 
 echo "== postmortem pass (failpoint-panic'd train leaves a crash report) =="
 # A train killed mid-run by an armed panic failpoint must leave a raw crash
